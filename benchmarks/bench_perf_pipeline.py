@@ -4,15 +4,15 @@ Times the three pipeline stages on each paper workload:
 
 * ``interpret``  — compile + execute, no sampling (pure engine speed);
 * ``sample``     — compile + execute under the PMU monitor;
-* ``profile_cold`` — first full blame profile (caches empty);
-* ``profile_warm`` — second full profile of the same program (compile
-  cache + on-module analysis caches hot).
+* ``profile_cold`` — first full blame profile (compile cache empty);
+* ``profile_warm`` — second full profile of the same program with the
+  compile cache hot; the blame analysis reruns, as it does per run.
 
 ``BASELINE`` holds host seconds measured on this machine *before* the
 fast-path engine / caching work (pre-bound dispatch, overflow-horizon
-batching, blame-pipeline caches), so the recorded speedups are
-like-for-like.  Results (baseline, measured, speedup per stage) are
-written to ``BENCH_pipeline.json`` at the repository root.
+batching, and blame-analysis caches since removed), so the recorded
+speedups are like-for-like.  Results (baseline, measured, speedup per
+stage) are written to ``BENCH_pipeline.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_perf_pipeline.py``) or via
 pytest; the pytest smoke test only enforces a *generous* floor so CI
@@ -27,10 +27,10 @@ import time
 
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.compiler.lower import compile_source
+from repro.pipeline.stages import _COMPILE_CACHE
 from repro.runtime.interpreter import Interpreter
 from repro.sampling.monitor import Monitor
 from repro.sampling.pmu import PMUConfig
-from repro.tooling import profiler as profiler_mod
 from repro.tooling.profiler import Profiler, run_only
 
 NUM_THREADS = 12
@@ -95,7 +95,7 @@ def measure_workload(name: str) -> dict[str, float]:
 
     # Cold stages clear the compile cache first so every repetition
     # includes compilation, matching how the baseline was measured.
-    clear_caches = profiler_mod._COMPILE_CACHE.clear
+    clear_caches = _COMPILE_CACHE.clear
 
     out["interpret"] = _best_of(
         lambda: run_only(
@@ -126,7 +126,7 @@ def measure_workload(name: str) -> dict[str, float]:
         ).profile()
 
     out["profile_cold"] = _best_of(profile_run, setup=clear_caches)
-    # The cold rounds left every cache hot.
+    # The cold rounds left the compile cache hot.
     out["profile_warm"] = _best_of(profile_run)
     return out
 

@@ -5,15 +5,16 @@ per-function data flow, and the call-graph loop-residency predicate.
 :class:`AnalysisContext` builds each once per module and memoizes —
 passes stay stateless and cheap to combine.
 
-The data flow is *reused from the blame pipeline*
-(:func:`repro.blame.cache.cached_module_blame_info`), aliases included:
+The data flow is *the blame pipeline's own*
+(:class:`~repro.blame.static_info.ModuleBlameInfo`), aliases included:
 the advisor sees the same storage roots the profiler attributes samples
 to, so a finding's variables line up with blame-table rows by name.
+Pass the profile's ``blame_info`` when one exists (``advise
+--profile``); otherwise the context builds it on first use.
 """
 
 from __future__ import annotations
 
-from ..blame.cache import cached_module_blame_info
 from ..blame.dataflow import DataFlow
 from ..blame.static_info import ModuleBlameInfo
 from ..ir.cfg import CFG
@@ -25,10 +26,11 @@ from ..ir.module import BasicBlock, Function, Module
 class AnalysisContext:
     """Per-module cache of everything the passes consume."""
 
-    def __init__(self, module: Module, options: "object | None" = None) -> None:
+    def __init__(
+        self, module: Module, blame_info: ModuleBlameInfo | None = None
+    ) -> None:
         self.module = module
-        self.options = options
-        self._blame_info: ModuleBlameInfo | None = None
+        self._blame_info = blame_info
         self._cfgs: dict[str, CFG] = {}
         self._domtrees: dict[str, DominatorTree] = {}
         self._loops: dict[str, list[Loop]] = {}
@@ -41,9 +43,7 @@ class AnalysisContext:
     @property
     def blame_info(self) -> ModuleBlameInfo:
         if self._blame_info is None:
-            self._blame_info = cached_module_blame_info(
-                self.module, options=self.options
-            )
+            self._blame_info = ModuleBlameInfo(self.module)
         return self._blame_info
 
     def dataflow(self, fn: Function | str) -> DataFlow:

@@ -107,11 +107,6 @@ class LocalityAnalysis:
     def classify(self, instr: I.ElemAddr) -> AccessClass | None:
         return self.accesses.get(instr.iid)
 
-    def value_sources(self, fn: Function, value: I.Value) -> frozenset[str]:
-        """Names of arrays whose contents taint ``value`` (empty =
-        the value is direct: constants, loop indices, scalar math)."""
-        return self._sources(fn, self.ctx.dataflow(fn), value, set())
-
     def index_chain(self, fn: Function, value: I.Value) -> frozenset[I.Instruction]:
         """The *dynamic points* of ``value``'s provenance: IterValue
         steps, stores chased through local cells, and nested element

@@ -9,6 +9,7 @@ then runs the requested passes over a shared :class:`AnalysisContext`.
 
 from __future__ import annotations
 
+from ..blame.static_info import ModuleBlameInfo
 from ..errors import AnalysisError
 from ..ir.module import Module
 from ..ir.verifier import verify_for_analysis
@@ -76,18 +77,20 @@ def resolve_passes(names: list[str] | None) -> list[AnalysisPass]:
 def analyze_module(
     module: Module,
     passes: list[str] | None = None,
-    options: "object | None" = None,
+    blame_info: ModuleBlameInfo | None = None,
     verify: bool = True,
 ) -> list[Finding]:
     """Runs the analysis suite over a compiled module.
 
-    ``passes`` selects rules by name (None = all).  ``verify`` runs the
+    ``passes`` selects rules by name (None = all).  ``blame_info`` is
+    the module's static blame analysis when the caller already has one
+    (a profile's ``static_info``); None builds it.  ``verify`` runs the
     structural + debug-info verifier first; disable only for tests that
     deliberately construct partial IR.
     """
     if verify:
         verify_for_analysis(module)
-    ctx = AnalysisContext(module, options=options)
+    ctx = AnalysisContext(module, blame_info=blame_info)
     findings: list[Finding] = []
     for p in resolve_passes(passes):
         findings.extend(p.run(ctx))

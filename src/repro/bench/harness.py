@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..compiler.lower import compile_source
-from ..runtime.costmodel import CostModel
 from ..tooling.profiler import ProfileResult, Profiler, run_only
 from ..views.tables import render_table
 from .programs import clomp, lulesh, minimd
@@ -80,7 +79,6 @@ def time_variant(
     config: dict[str, object] | None = None,
     fast: bool = False,
     num_threads: int = NUM_THREADS,
-    cost_model: CostModel | None = None,
 ) -> float:
     """Simulated seconds of one run.
 
@@ -93,7 +91,6 @@ def time_variant(
         filename=name,
         config=config,
         num_threads=num_threads,
-        cost_model=cost_model,
         fast=fast,
     )
     for line in reversed(result.output):
@@ -300,9 +297,3 @@ def render_speedup_table(result: SpeedupResult) -> str:
         title=f"{result.benchmark}: original vs optimized",
         aligns=["l", "r", "r", "r"],
     )
-
-
-def render_blame_table(result: ProfileResult, top: int = 10, min_blame: float = 0.01) -> str:
-    from ..views.data_centric import render_data_centric
-
-    return render_data_centric(result.report, top=top, min_blame=min_blame)

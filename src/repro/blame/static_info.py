@@ -84,8 +84,7 @@ def analyze_function(
 ) -> FunctionBlameInfo:
     """Phase 2 for one function: the full per-function analyses with the
     module-wide alias facts visible.  Pure in the function's IR, the
-    module context, the aliases and the options — which is what lets
-    :mod:`repro.blame.cache` key its result on their content hashes."""
+    module context, the aliases and the options."""
     from .options import FULL
 
     options = options or FULL
@@ -120,23 +119,10 @@ class ModuleBlameInfo:
         self.global_aliases = compute_global_aliases(module, self.options)
 
         # Phase 2: full per-function analyses with aliases visible.
-        # Results are cached on each Function, keyed by content hashes of
-        # everything the analyses read (its own IR, the module context,
-        # the alias facts) plus the options — so repeated profiles of an
-        # unchanged module skip straight to the stored FunctionBlameInfo.
-        from . import cache as _cache
-
-        sig_fp = _cache.module_signatures_fingerprint(module)
-        aliases_fp = _cache.aliases_fingerprint(self.global_aliases)
         for name, fn in module.functions.items():
-            key = (_cache.function_fingerprint(fn), sig_fp, aliases_fp, self.options)
-            info = _cache.cached_function_info(fn, key)
-            if info is None:
-                info = analyze_function(
-                    fn, module, self.global_aliases, self.options
-                )
-                _cache.store_function_info(fn, key, info)
-            self.functions[name] = info
+            self.functions[name] = analyze_function(
+                fn, module, self.global_aliases, self.options
+            )
 
     def info_for(self, func_name: str) -> FunctionBlameInfo | None:
         return self.functions.get(func_name)

@@ -17,9 +17,6 @@ class Type:
     def is_numeric(self) -> bool:
         return isinstance(self, (IntType, RealType))
 
-    def is_scalar(self) -> bool:
-        return isinstance(self, (IntType, RealType, BoolType, StringType))
-
 
 @dataclass(frozen=True)
 class IntType(Type):

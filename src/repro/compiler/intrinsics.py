@@ -68,7 +68,3 @@ INTERNAL_ONLY = {"_array_copy", "_config_get_int", "_config_get_real", "_config_
 
 def is_intrinsic(name: str) -> bool:
     return name in INTRINSICS
-
-
-def get_intrinsic(name: str) -> Intrinsic:
-    return INTRINSICS[name]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from ..chapel.tokens import SourceLocation
 from ..chapel.types import Type
-from .instructions import Alloca, Instruction
-from .module import Function, Module
+from .instructions import Alloca
+from .module import Module
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class LineTable:
     def function_of(self, iid: int) -> str | None:
         return self._func_of.get(iid)
 
-    def lines_of_function(self, fname: str) -> set[int]:
-        f = self.module.get_function(fname)
-        if f is None:
-            return set()
-        return {i.loc.line for i in f.instructions()}
-
 
 def collect_variables(module: Module) -> list[VariableInfo]:
     """All variable bindings in the module: globals + per-function allocas."""
@@ -87,15 +81,3 @@ def collect_variables(module: Module) -> list[VariableInfo]:
                     )
                 )
     return out
-
-
-def instruction_location(instr: Instruction) -> SourceLocation:
-    return instr.loc
-
-
-def function_line_range(f: Function) -> tuple[int, int]:
-    """(first, last) source line covered by a function's instructions."""
-    lines = [i.loc.line for i in f.instructions()]
-    if not lines:
-        return (f.loc.line, f.loc.line)
-    return (min(lines), max(lines))

@@ -27,23 +27,21 @@ import time
 from dataclasses import dataclass
 
 from ..blame.attribution import AttributionResult, BlameAttributor
-from ..blame.cache import cached_module_blame_info
 from ..blame.postmortem import PostmortemResult, process_samples
 from ..blame.report import BlameReport, RunStats, build_rows
 from ..blame.static_info import ModuleBlameInfo
 from ..compiler.lower import compile_source
 from ..ir.module import Module
-from ..runtime.costmodel import CostModel
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
 from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
 from ..sampling.records import RawSample
 
 #: (source, filename, fast) → compiled (and fast-lowered) Module.
-#: Profiling the same program repeatedly — benchmark sweeps, the warm
-#: paths in the perf suite — reuses one Module object, which both skips
-#: recompilation and keeps instruction ids identical across runs so the
-#: on-module analysis caches stay hot.  Bounded FIFO.
+#: Profiling the same program repeatedly in one process reuses one
+#: Module object, which skips recompilation and keeps instruction ids
+#: identical across runs, so their streams and artifacts compare
+#: directly.  Bounded FIFO.
 _COMPILE_CACHE: dict[tuple[str, str, bool], Module] = {}
 _COMPILE_CACHE_MAX = 32
 
@@ -69,9 +67,12 @@ def compile_stage(
 def analyze_stage(
     module: Module, options: "object | None" = None
 ) -> ModuleBlameInfo:
-    """Step 1 — static blame analysis (pre-run, sample-independent;
-    cached on the module, keyed by a content hash of its IR)."""
-    return cached_module_blame_info(module, options=options)
+    """Step 1 — static blame analysis (pre-run, sample-independent).
+
+    A plain function of the module: each call analyzes afresh, as the
+    paper's tool does once per program before execution.
+    """
+    return ModuleBlameInfo(module, options=options)
 
 
 @dataclass
@@ -88,7 +89,6 @@ def collect_stage(
     config: dict[str, object] | None = None,
     num_threads: int = 12,
     threshold: int = DEFAULT_THRESHOLD,
-    cost_model: CostModel | None = None,
     skid: int = 0,
     skid_compensation: bool = False,
     sink=None,
@@ -107,7 +107,6 @@ def collect_stage(
         module,
         config=config,
         num_threads=num_threads,
-        cost_model=cost_model,
         monitor=monitor,
         sample_threshold=threshold,
         skid=skid,

@@ -176,10 +176,6 @@ class Scheduler:
         return min(self.threads, key=self._clock_key)
 
     @property
-    def any_ready(self) -> bool:
-        return bool(self.run_queue)
-
-    @property
     def any_running(self) -> bool:
         return any(t.task is not None for t in self.threads)
 

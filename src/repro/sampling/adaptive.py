@@ -12,8 +12,7 @@ wall-clock lever for serving profile requests at interactive latency":
   and only the **newly consolidated instances** are attributed — the
   running total is combined with
   :func:`~repro.blame.attribution.merge_attributions`, so a checkpoint
-  costs the delta, not a re-pass (the content-hash caches make the
-  per-instance work itself cache-hot);
+  costs the delta, not a re-pass;
 * the **stopping rule** then checks the interim report: every top-N
   blame share's confidence interval (Wilson by default — see
   :mod:`repro.blame.confidence`) has half-width ≤ ``ci_width``, the
@@ -186,12 +185,6 @@ class AdaptiveTrail:
     #: Samples the full run would have taken, when a baseline is known
     #: (benchmarks fill this in; live runs cannot know it).
     samples_total: int | None = None
-
-    @property
-    def samples_saved(self) -> int | None:
-        if self.samples_total is None:
-            return None
-        return max(0, self.samples_total - self.samples_collected)
 
     def as_dict(self) -> dict:
         """JSON-stable form — this exact dict is the artifact's ``a``

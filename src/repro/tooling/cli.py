@@ -272,6 +272,9 @@ def profile_main(argv: list[str]) -> int:
         ap.error(f"--batch-size must be >= 1 (got {args.batch_size})")
     if args.streaming and args.save_samples:
         ap.error("--save-samples needs the retained stream (drop --streaming)")
+    if args.fast and args.save_samples:
+        ap.error("--save-samples needs the unoptimized compile that "
+                 "repro-analyze rebuilds (drop --fast)")
     if not 0.0 < args.confidence < 1.0:
         ap.error(f"--confidence must be in (0, 1) exclusive (got {args.confidence})")
     if not 0.0 < args.ci_width < 1.0:
@@ -717,6 +720,7 @@ def advise_main(argv: list[str] | None = None) -> int:
 
     report = None
     result = None
+    blame_info = None
     try:
         if args.profile:
             profiler = Profiler(
@@ -730,11 +734,14 @@ def advise_main(argv: list[str] | None = None) -> int:
             result = profiler.profile()
             module = result.module
             report = result.report
+            blame_info = result.static_info
         else:
             from ..compiler.lower import compile_source
 
             module = compile_source(source, filename)
-        findings = analyze_module(module, passes=args.rules)
+        findings = analyze_module(
+            module, passes=args.rules, blame_info=blame_info
+        )
     except VerificationError as exc:
         print(f"IR verification failed: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,6 @@ from ..blame.report import BlameReport
 from ..blame.static_info import ModuleBlameInfo
 from ..ir.module import Module
 from ..pipeline.stages import (
-    _COMPILE_CACHE,  # noqa: F401  (re-exported for back-compat)
     aggregate_stage,
     analyze_stage,
     attribute_stage,
@@ -45,13 +44,9 @@ from ..pipeline.stages import (
     compile_stage,
     postmortem_stage,
 )
-from ..runtime.costmodel import CostModel
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
 from ..sampling.pmu import DEFAULT_THRESHOLD
-
-#: Back-compat alias — the compile cache moved to the pipeline stages.
-_compile_cached = compile_stage
 
 
 @dataclass
@@ -99,7 +94,10 @@ class Profiler:
     Parameters mirror the paper's experimental knobs: the PMU overflow
     ``threshold``, the worker-thread count (their 12-core Xeon), and the
     compilation mode (``fast=True`` approximates ``--fast``; the paper
-    profiles *without* it — see §V's discussion of why).
+    profiles *without* it — see §V's discussion of why).  ``fast``
+    applies to source text only: a precompiled ``Module`` is profiled
+    as given, and ``fast=True`` with one raises ``ValueError`` (use
+    ``compile_stage(source, name, fast=True)``).
     """
 
     def __init__(
@@ -109,7 +107,6 @@ class Profiler:
         config: dict[str, object] | None = None,
         num_threads: int = 12,
         threshold: int = DEFAULT_THRESHOLD,
-        cost_model: CostModel | None = None,
         fast: bool = False,
         include_temps: bool = False,
         min_blame: float = 0.0,
@@ -119,19 +116,15 @@ class Profiler:
         faults: "object | str | None" = None,
     ) -> None:
         if isinstance(source, Module):
+            _reject_fast_module(fast)
             self.module = source
             self.program_name = source.name
-            if fast:
-                from ..compiler.passes import run_fast_pipeline
-
-                run_fast_pipeline(self.module)
         else:
             self.module = compile_stage(source, filename, fast)
             self.program_name = filename
         self.config = config or {}
         self.num_threads = num_threads
         self.threshold = threshold
-        self.cost_model = cost_model
         self.include_temps = include_temps
         self.min_blame = min_blame
         self.blame_options = blame_options
@@ -213,7 +206,6 @@ class Profiler:
                 config=self.config,
                 num_threads=self.num_threads,
                 threshold=self.threshold,
-                cost_model=self.cost_model,
                 skid=self.skid,
                 skid_compensation=self.skid_compensation,
                 sink=sink,
@@ -230,7 +222,6 @@ class Profiler:
                 config=self.config,
                 num_threads=self.num_threads,
                 threshold=self.threshold,
-                cost_model=self.cost_model,
                 skid=self.skid,
                 skid_compensation=self.skid_compensation,
             )
@@ -314,7 +305,6 @@ class Profiler:
             self.module,
             config=self.config,
             num_threads=self.num_threads,
-            cost_model=self.cost_model,
             monitor=monitor,
             sample_threshold=self.threshold,
             skid=self.skid,
@@ -363,20 +353,23 @@ def run_only(
     filename: str = "program.chpl",
     config: dict[str, object] | None = None,
     num_threads: int = 12,
-    cost_model: CostModel | None = None,
     fast: bool = False,
 ) -> RunResult:
     """Executes a program without profiling (for timing comparisons —
     the paper's original-vs-optimized speedup tables)."""
     if isinstance(source, Module):
+        _reject_fast_module(fast)
         module = source
-        if fast:
-            from ..compiler.passes import run_fast_pipeline
-
-            run_fast_pipeline(module)
     else:
         module = compile_stage(source, filename, fast)
-    interp = Interpreter(
-        module, config=config, num_threads=num_threads, cost_model=cost_model
-    )
-    return interp.run()
+    return Interpreter(module, config=config, num_threads=num_threads).run()
+
+
+def _reject_fast_module(fast: bool) -> None:
+    """``--fast`` lowering rewrites a module in place; a caller's module
+    may be the compile cache's shared copy, so it is never lowered here."""
+    if fast:
+        raise ValueError(
+            "fast=True needs source text; for a Module, compile it with "
+            "compile_stage(source, name, fast=True)"
+        )

@@ -1,16 +1,10 @@
-"""Blame analysis caching: hits, content-hash invalidation, and result
-equality between cached and freshly computed pipelines."""
+"""Blame analysis is a plain function of the module: separate analyses
+of one module agree, analyses of distinct modules stay keyed to their
+own instructions, and repeated profiles of one source are identical."""
 
-from repro.blame import cache
-from repro.blame.cache import (
-    STATS,
-    cached_module_blame_info,
-    function_fingerprint,
-    module_fingerprint,
-)
 from repro.blame.static_info import ModuleBlameInfo
 from repro.compiler.lower import compile_source
-from repro.ir import instructions as I
+from repro.pipeline import analyze_stage
 from repro.tooling.profiler import Profiler
 
 SRC = """
@@ -35,20 +29,11 @@ def fresh_module(tag="cache_test.chpl"):
 
 
 class TestModuleCache:
-    def test_second_build_hits(self):
-        module = fresh_module()
-        STATS.reset()
-        info1 = cached_module_blame_info(module)
-        assert STATS.module_misses == 1 and STATS.module_hits == 0
-        info2 = cached_module_blame_info(module)
-        assert STATS.module_hits == 1
-        assert info2 is info1
-
     def test_distinct_modules_do_not_share(self):
         m1 = fresh_module("a.chpl")
         m2 = fresh_module("b.chpl")
-        info1 = cached_module_blame_info(m1)
-        info2 = cached_module_blame_info(m2)
+        info1 = analyze_stage(m1)
+        info2 = analyze_stage(m2)
         assert info1 is not info2
         # Same source, but iids differ: the blame tables must be keyed
         # to each module's own instructions.
@@ -56,89 +41,19 @@ class TestModuleCache:
             info2.functions["main"].blame_sets.by_iid.keys()
         )
 
-    def test_in_place_ir_edit_invalidates(self):
-        module = fresh_module()
-        info1 = cached_module_blame_info(module)
-        fp_before = module_fingerprint(module)
-
-        # Mutate one instruction in place: flip an add into a subtract.
-        target = None
-        for instr in module.functions["main"].instructions():
-            if isinstance(instr, I.BinOp) and instr.op == "+":
-                target = instr
-                break
-        assert target is not None
-        target.op = "-"
-        assert module_fingerprint(module) != fp_before
-
-        STATS.reset()
-        info2 = cached_module_blame_info(module)
-        assert STATS.module_misses == 1
-        assert info2 is not info1
-
-    def test_options_are_part_of_the_key(self):
-        from repro.blame.options import ABLATIONS, FULL
-
-        module = fresh_module()
-        full = cached_module_blame_info(module, options=FULL)
-        ablated = cached_module_blame_info(
-            module, options=ABLATIONS["no-implicit-control"]
-        )
-        assert full is not ablated
-
-
-class TestFunctionCache:
-    def test_unchanged_functions_hit_after_module_edit(self):
-        module = fresh_module()
-        cached_module_blame_info(module)
-
-        target = None
-        for instr in module.functions["main"].instructions():
-            if isinstance(instr, I.BinOp) and instr.op == "+":
-                target = instr
-                break
-        target.op = "-"
-
-        STATS.reset()
-        cached_module_blame_info(module)
-        # main was re-analyzed; untouched functions (scale, writeln
-        # wrappers, global init) came from their per-function caches.
-        assert STATS.function_misses >= 1
-        assert STATS.function_hits >= 1
-
-    def test_function_fingerprint_sensitive_to_extras(self):
-        # ``counted`` does not appear in an instruction's rendering, but
-        # it changes range semantics — the fingerprint must cover it.
-        module = compile_source(
-            """
-var A: [0..15] real;
-proc main() {
-  forall i in 0..15 { A[i] = i * 2.0; }
-  writeln(A[3]);
-}
-""",
-            "extras.chpl",
-        )
-        for fn in module.functions.values():
-            for instr in fn.instructions():
-                if isinstance(instr, I.MakeRange):
-                    fp = function_fingerprint(fn)
-                    instr.counted = not instr.counted
-                    assert function_fingerprint(fn) != fp
-                    return
-        raise AssertionError("no MakeRange anywhere in module")
-
 
 class TestCachedResultsMatchFresh:
     def test_blame_tables_identical(self):
         module = fresh_module()
-        cached = cached_module_blame_info(module)
+        staged = analyze_stage(module)
         fresh = ModuleBlameInfo(module)
+        assert staged is not fresh
+        assert list(staged.functions) == list(fresh.functions)
         for name, fresh_info in fresh.functions.items():
-            cached_info = cached.functions[name]
-            assert cached_info.blame_sets.by_var == fresh_info.blame_sets.by_var
-            assert cached_info.blame_sets.by_iid == fresh_info.blame_sets.by_iid
-            assert cached_info.exit_vars == fresh_info.exit_vars
+            staged_info = staged.functions[name]
+            assert staged_info.blame_sets.by_var == fresh_info.blame_sets.by_var
+            assert staged_info.blame_sets.by_iid == fresh_info.blame_sets.by_iid
+            assert staged_info.exit_vars == fresh_info.exit_vars
 
     def test_repeated_profiles_identical(self):
         kwargs = dict(
@@ -147,6 +62,7 @@ class TestCachedResultsMatchFresh:
         r1 = Profiler(SRC, **kwargs).profile()
         r2 = Profiler(SRC, **kwargs).profile()
         assert r2.module is r1.module  # compile cache shares the module
+        assert r2.static_info is not r1.static_info  # analyzed afresh
         assert r1.run_result.output == r2.run_result.output
         s1 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in r1.monitor.samples]
         s2 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in r2.monitor.samples]

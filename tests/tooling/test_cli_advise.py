@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.blame.static_info import ModuleBlameInfo
 from repro.tooling.cli import advise_main, main as cli_main
 
 RACY = """
@@ -169,7 +170,16 @@ class TestBenchmarkResolution:
 
 
 class TestProfileIntegration:
-    def test_profile_ranks_and_prints_hybrid(self, capsys):
+    def test_profile_ranks_and_prints_hybrid(self, capsys, monkeypatch):
+        # The advisor reuses the profile's analysis: one build per run.
+        builds = []
+        init = ModuleBlameInfo.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleBlameInfo, "__init__", counting_init)
         rc = advise_main(
             [
                 "--benchmark",
@@ -182,6 +192,7 @@ class TestProfileIntegration:
             ]
         )
         assert rc == 0
+        assert len(builds) == 1
         out = capsys.readouterr().out
         assert "Hybrid view" in out
         assert "advice [" in out

@@ -168,6 +168,7 @@ class TestProfileAndView:
             (["--threshold", "0"], "--threshold must be >= 1 (got 0)"),
             (["--threshold", "-5"], "--threshold must be >= 1 (got -5)"),
             (["--streaming", "--batch-size", "0"], "--batch-size must be >= 1"),
+            (["--fast", "--save-samples", "s.jsonl"], "(drop --fast)"),
             (["--inject-faults", "bogus=1"], "unknown fault spec key 'bogus'"),
             (["--inject-faults", "drop=2"], "drop_rate must be in [0, 1]"),
             (["--inject-faults", "worker-crash=1"], "unknown fault spec key"),
