@@ -73,18 +73,22 @@ class _Interner:
 
 
 class _TupleInterner:
-    """Pool of encoded tuples (stacks, location lists)."""
+    """Pool of encoded ``(name, int)`` tuples (stacks, location lists)
+    over a string pool.  A tuple is encoded, and its names pooled, on
+    first sight only: a pooled tuple's names are already in the string
+    pool, so skipping them leaves every string index unchanged."""
 
-    def __init__(self) -> None:
+    def __init__(self, strings: _Interner) -> None:
         self.rows: list[list] = []
         self._index: dict[tuple, int] = {}
+        self._strings = strings
 
-    def add(self, key: tuple, encoded: list) -> int:
+    def add(self, key: tuple[tuple[str, int], ...]) -> int:
         ix = self._index.get(key)
         if ix is None:
             ix = len(self.rows)
             self._index[key] = ix
-            self.rows.append(encoded)
+            self.rows.append([[self._strings.add(s), n] for s, n in key])
         return ix
 
 
@@ -92,8 +96,8 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
     """Serializes a snapshot to its record lines (without newlines)."""
     meta = snapshot.meta
     strings = _Interner()
-    stacks = _TupleInterner()
-    locs = _TupleInterner()
+    stacks = _TupleInterner(strings)
+    locs = _TupleInterner(strings)
 
     # Function catalog (name-sorted: deterministic bytes).
     fn_cols: dict[str, list] = {"nm": [], "sn": [], "of": [], "ar": []}
@@ -110,12 +114,10 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
         "ix": [], "th": [], "st": [], "lo": [], "gl": [], "tg": [], "rc": [],
     }
     for inst in snapshot.postmortem.instances:
-        stack_enc = [[strings.add(fn), iid] for fn, iid in inst.frames]
-        loc_enc = [[strings.add(fname), line] for fname, line in inst.locations]
         inst_cols["ix"].append(inst.index)
         inst_cols["th"].append(inst.thread_id)
-        inst_cols["st"].append(stacks.add(inst.frames, stack_enc))
-        inst_cols["lo"].append(locs.add(inst.locations, loc_enc))
+        inst_cols["st"].append(stacks.add(inst.frames))
+        inst_cols["lo"].append(locs.add(inst.locations))
         inst_cols["gl"].append(1 if inst.was_glued else 0)
         inst_cols["tg"].append(inst.spawn_tag)
         inst_cols["rc"].append(1 if inst.was_recovered else 0)

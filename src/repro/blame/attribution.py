@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..chapel.types import Type
 from ..ir.module import Module
 from .dataflow import RET_KEY, Root, VarKey, render_path
-from .postmortem import Instance
+from .postmortem import Instance, count_paths
 from .static_info import FunctionBlameInfo, ModuleBlameInfo
 
 
@@ -131,28 +131,22 @@ class BlameAttributor:
         # Attribution depends only on the call path: instances sharing a
         # frames tuple blame the same rows, so walk each distinct path
         # once, weighted by its multiplicity (hot loops produce the same
-        # path thousands of times).  Groups keep first-seen order, so
+        # path thousands of times).  Paths keep first-seen order, so
         # rows are created in the same order as per-instance attribution.
-        groups: dict[tuple, list[Instance]] = {}
-        for inst in instances:
-            groups.setdefault(inst.frames, []).append(inst)
-
-        for insts in groups.values():
-            blamed_this_sample: set[tuple[str, str]] = set()
-            self._attribute_one(insts[0], rows, blamed_this_sample, len(insts))
+        for frames, n in count_paths(instances).items():
+            self._attribute_one(frames, rows, set(), n)
 
         return AttributionResult(rows=rows, total_samples=len(instances))
 
-    # -- per-sample ---------------------------------------------------------
+    # -- per call path ------------------------------------------------------
 
     def _attribute_one(
         self,
-        inst: Instance,
+        frames: tuple[tuple[str, int], ...],
         rows: dict[tuple[str, str], VariableBlame],
         seen: set[tuple[str, str]],
         weight: int = 1,
     ) -> None:
-        frames = inst.frames
         leaf_func, leaf_iid = frames[0]
         info = self.static.info_for(leaf_func)
         if info is None:

@@ -33,13 +33,23 @@ degraded candidates wait in a held-back buffer that the
 ``evidence_window`` parameter bounds.  :func:`process_samples` is the
 one-shot wrapper (one batch, unbounded window) and behaves exactly as
 it always has.
+
+Consolidation is done **once per distinct call path**: everything the
+first pass derives from a sample's ``(stack, pre_spawn_stack,
+spawn_tag is None)`` key is memoized on the consumer, so a repeat of a
+hot path costs a validation, a dict lookup and an :class:`Instance`
+that shares the first sight's tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..ir.module import Module
+from ..sampling.monitor import Monitor
 from ..sampling.records import RawSample
 from ..sampling.stackwalk import StackResolver
 
@@ -123,6 +133,15 @@ class PostmortemResult:
         return out
 
 
+def count_paths(
+    instances: Iterable[Instance],
+) -> "Counter[tuple[tuple[str, int], ...]]":
+    """Instances per distinct call path (``frames``), in first-seen
+    order.  Passes whose result depends only on the path walk each key
+    once, weighted by its count."""
+    return Counter(map(attrgetter("frames"), instances))
+
+
 def _is_user_frame(module: Module, func: str) -> bool:
     # Synthetic runtime frames (__sched_yield) have no module function.
     # Module init counts as user context: Chapel module-level variable
@@ -131,14 +150,34 @@ def _is_user_frame(module: Module, func: str) -> bool:
     return module.get_function(func) is not None
 
 
-@dataclass
-class _Candidate:
-    """A degraded sample held back for the recovery pass."""
+#: First-pass outcomes of a call path.
+_RUNTIME = "runtime"  # no user frame: counted as a runtime sample
+_HELD = "held"  # degraded: held back as a recovery candidate
+_INTACT = "intact"  # consolidated into an instance
 
-    sample: RawSample
-    user_frames: list[tuple[str, int]]
-    glued: bool
-    had_stripped: bool
+
+@dataclass(frozen=True)
+class _Path:
+    """The first pass's outcome for one distinct call path.
+
+    It reads nothing but the key ``(stack, pre_spawn_stack, spawn_tag
+    is None)`` of a validated, non-idle sample, the module and the
+    options, so every sample with that key shares it — tuples included.
+    """
+
+    outcome: str
+    #: Trimmed user frames, leaf first.
+    frames: tuple[tuple[str, int], ...] = ()
+    #: Held paths: the walk had raw-address frames (picks the
+    #: ``<unknown>`` reason if recovery fails).
+    had_stripped: bool = False
+    #: Resolved (file, line) per frame (intact paths only).
+    locations: tuple[tuple[str, int], ...] = ()
+    glued: bool = False
+    repaired: bool = False
+    #: Pre-spawn continuation a tagged sample of this intact, glued
+    #: path teaches the spawn-tag index (tolerant mode only).
+    pre: tuple[tuple[str, int], ...] | None = None
 
 
 class PostmortemConsumer:
@@ -163,7 +202,9 @@ class PostmortemConsumer:
       ``None`` (the default) holds all candidates to the end, matching
       the one-shot semantics exactly;
     * ``keep_runtime_samples=False`` additionally drops idle/runtime
-      samples after counting them (the views only use the count).
+      samples after counting them (the views only use the count);
+    * the per-path memo holds one first-pass outcome per distinct call
+      path, so it grows with the number of paths, not of samples.
     """
 
     def __init__(
@@ -190,7 +231,10 @@ class PostmortemConsumer:
         self._n_runtime = 0
         self._quarantined: list[DegradedSample] = []
         self._unknown: list[DegradedSample] = []
-        self._candidates: list[_Candidate] = []
+        #: Held-back degraded samples, with their path's outcome.
+        self._candidates: list[tuple[RawSample, _Path]] = []
+        #: (stack, pre_spawn_stack, spawn_tag is None) → first-pass outcome.
+        self._paths: dict[tuple, _Path] = {}
         self._n_raw = 0
         self._n_repaired = 0
         self._n_late_recovered = 0
@@ -244,16 +288,16 @@ class PostmortemConsumer:
                 self._candidates[:overflow],
                 self._candidates[overflow:],
             )
-            for c in flush:
-                self._n_late_recovered += self._resolve_candidate(c)
+            for s, path in flush:
+                self._n_late_recovered += self._resolve_candidate(s, path)
 
     def finish(self) -> PostmortemResult:
         """Resolves remaining candidates and returns the result."""
         if self._finished:
             raise RuntimeError("PostmortemConsumer.finish() called twice")
         self._finished = True
-        for c in self._candidates:
-            self._n_late_recovered += self._resolve_candidate(c)
+        for s, path in self._candidates:
+            self._n_late_recovered += self._resolve_candidate(s, path)
         self._candidates = []
         return PostmortemResult(
             instances=self._instances,
@@ -265,22 +309,53 @@ class PostmortemConsumer:
             n_runtime=self._n_runtime,
         )
 
-    # -- per-sample consolidation (first pass) -------------------------------
+    # -- first pass: per sample, consolidated once per distinct path ---------
 
     def _consume(self, s: RawSample) -> None:
         self._n_raw += 1
         if s.is_idle:
-            self._n_runtime += 1
-            if self.keep_runtime_samples:
-                self._runtime.append(s)
+            self._count_runtime(s)
             return
-        if self.tolerant:
-            from ..sampling.monitor import Monitor
+        if self.tolerant and Monitor.validate(s) is not None:
+            self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
+            return
+        key = (s.stack, s.pre_spawn_stack, s.spawn_tag is None)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = self._first_sight(s)
+        if path.outcome is _INTACT:
+            if path.pre is not None:
+                self._tag_index.setdefault(s.spawn_tag, path.pre)
+            if path.repaired:
+                self._n_repaired += 1
+            self._instances.append(
+                Instance(
+                    index=s.index,
+                    thread_id=s.thread_id,
+                    frames=path.frames,
+                    locations=path.locations,
+                    was_glued=path.glued,
+                    spawn_tag=s.spawn_tag,
+                    was_recovered=path.repaired,
+                )
+            )
+        elif path.outcome is _HELD:
+            self._candidates.append((s, path))
+        else:
+            self._count_runtime(s)
 
-            flaw = Monitor.validate(s)
-            if flaw is not None:
-                self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
-                return
+    def _count_runtime(self, s: RawSample) -> None:
+        self._n_runtime += 1
+        if self.keep_runtime_samples:
+            self._runtime.append(s)
+
+    def _first_sight(self, s: RawSample) -> _Path:
+        """Consolidates the call path of ``s``, seen for the first time.
+
+        An intact path feeds the recovery evidence here, once: the
+        indexes are sets, so later samples of the path would add
+        nothing.
+        """
         frames = list(s.stack)
         glued = False
         if (
@@ -303,29 +378,23 @@ class PostmortemConsumer:
         repaired = False
         if had_stripped:
             frames, repaired = _repair_stripped(self._resolver, frames)
-        user_frames = [
+        user_frames = tuple(
             f for f in frames if _is_user_frame(self.module, f[0])
-        ]
+        )
         if not user_frames:
             # Paper: "when encountering samples of which the post-spawn
             # stack trace has no stack frames from the user code, we
             # trace back to its pre-spawn stack" — already glued above;
             # whatever still has no user frame is runtime-only.
             if had_stripped:
-                self._candidates.append(_Candidate(s, user_frames, glued, True))
-            else:
-                self._n_runtime += 1
-                if self.keep_runtime_samples:
-                    self._runtime.append(s)
-            return
+                return _Path(_HELD, had_stripped=True)
+            return _Path(_RUNTIME)
 
         if self.tolerant and not _is_complete(self.module, user_frames):
-            self._candidates.append(
-                _Candidate(s, user_frames, glued, had_stripped)
-            )
-            return
+            return _Path(_HELD, user_frames, had_stripped)
 
-        if self.tolerant and glued and s.spawn_tag is not None:
+        pre = None
+        if self.tolerant and glued:
             # Learn tag → pre-spawn only from *intact* paths (repaired
             # names, complete root), so a truncated or stripped
             # pre-spawn can never poison tag recovery.
@@ -334,57 +403,45 @@ class PostmortemConsumer:
                 if repaired
                 else tuple(s.pre_spawn_stack)
             )
-            self._tag_index.setdefault(s.spawn_tag, pre)
-        if repaired:
-            self._n_repaired += 1
-        self._emit(s, user_frames, glued, recovered=repaired,
-                   index_evidence=True)
-
-    def _emit(
-        self,
-        s: RawSample,
-        frames: list[tuple[str, int]],
-        glued: bool,
-        recovered: bool = False,
-        index_evidence: bool = False,
-    ) -> None:
-        resolved = self._resolver.resolve_stack(tuple(frames))
-        inst = Instance(
-            index=s.index,
-            thread_id=s.thread_id,
-            frames=tuple(frames),
-            locations=tuple((r.filename, r.line) for r in resolved),
-            was_glued=glued,
-            spawn_tag=s.spawn_tag,
-            was_recovered=recovered,
+        if self.tolerant:
+            self._index_evidence(user_frames, glued)
+        return _Path(
+            _INTACT,
+            user_frames,
+            locations=self._locations(user_frames),
+            glued=glued,
+            repaired=repaired,
+            pre=pre,
         )
-        self._instances.append(inst)
+
+    def _locations(
+        self, frames: tuple[tuple[str, int], ...]
+    ) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            (r.filename, r.line) for r in self._resolver.resolve_stack(frames)
+        )
+
+    def _index_evidence(
+        self, frames: tuple[tuple[str, int], ...], glued: bool
+    ) -> None:
         # Recovery evidence comes from first-pass instances only:
         # instances emitted *by* recovery never feed back into the
         # indexes (matching the historical snapshot-then-recover order,
         # which kept recovered paths from influencing later candidates).
-        if index_evidence and self.tolerant:
-            self._index_evidence(inst)
-
-    def _index_evidence(self, inst: Instance) -> None:
-        if inst.was_glued:
+        if glued:
             # The post-spawn part of a glued path ends at its outlined
             # frame; everything below is the pre-spawn continuation.
-            for k, (func, _iid) in enumerate(inst.frames):
+            for k, (func, _iid) in enumerate(frames):
                 f = self.module.get_function(func)
                 if f is not None and f.outlined_from is not None:
-                    self._pre_index.setdefault(func, set()).add(
-                        inst.frames[k + 1:]
-                    )
+                    self._pre_index.setdefault(func, set()).add(frames[k + 1:])
                     break
-        for k in range(len(inst.frames) - 1):
-            self._cont_index.setdefault(inst.frames[k], set()).add(
-                inst.frames[k + 1:]
-            )
+        for k in range(len(frames) - 1):
+            self._cont_index.setdefault(frames[k], set()).add(frames[k + 1:])
 
     # -- recovery (second pass over held-back candidates) --------------------
 
-    def _resolve_candidate(self, c: _Candidate) -> int:
+    def _resolve_candidate(self, s: RawSample, path: _Path) -> int:
         """Repairs one degraded stack from the accumulated evidence.
 
         Two indexes built from intact first-pass instances answer:
@@ -399,12 +456,12 @@ class PostmortemConsumer:
         Returns 1 when the candidate was recovered, 0 when it landed in
         the ``<unknown>`` bucket.
         """
-        s = c.sample
-        if not c.user_frames:
+        user_frames = path.frames
+        if not user_frames:
             # Nothing resolvable at all — stripped debug info.
             self._unknown.append(DegradedSample(s, REASON_NO_DEBUG))
             return 0
-        root_func, _root_iid = c.user_frames[-1]
+        root_func, _root_iid = user_frames[-1]
         rootf = self.module.get_function(root_func)
         is_outlined_root = rootf is not None and rootf.outlined_from is not None
 
@@ -420,17 +477,27 @@ class PostmortemConsumer:
                 if len(options) == 1:
                     continuation = next(iter(options))
         else:
-            reason = REASON_NO_DEBUG if c.had_stripped else REASON_TRUNCATED
-            options = self._cont_index.get(c.user_frames[-1], set())
+            reason = REASON_NO_DEBUG if path.had_stripped else REASON_TRUNCATED
+            options = self._cont_index.get(user_frames[-1], set())
             if len(options) == 1:
                 continuation = next(iter(options))
 
         if continuation is not None:
-            frames = c.user_frames + [
+            frames = user_frames + tuple(
                 f for f in continuation if _is_user_frame(self.module, f[0])
-            ]
+            )
             if _is_complete(self.module, frames):
-                self._emit(s, frames, True, recovered=True)
+                self._instances.append(
+                    Instance(
+                        index=s.index,
+                        thread_id=s.thread_id,
+                        frames=frames,
+                        locations=self._locations(frames),
+                        was_glued=True,
+                        spawn_tag=s.spawn_tag,
+                        was_recovered=True,
+                    )
+                )
                 return 1
         self._unknown.append(DegradedSample(s, reason))
         return 0
@@ -481,7 +548,9 @@ def _repair_stripped(
     return out, repaired
 
 
-def _is_complete(module: Module, user_frames: list[tuple[str, int]]) -> bool:
+def _is_complete(
+    module: Module, user_frames: tuple[tuple[str, int], ...]
+) -> bool:
     """A consolidated path is complete when it roots at ``main`` (or an
     artificial root like module init, which cannot bubble further)."""
     root = user_frames[-1][0]

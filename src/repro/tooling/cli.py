@@ -268,6 +268,7 @@ def profile_main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
 
     faults = _check_run_knobs(ap, args)
+    _check_top(ap, args)
     if args.batch_size < 1:
         ap.error(f"--batch-size must be >= 1 (got {args.batch_size})")
     if args.streaming and args.save_samples:
@@ -413,6 +414,7 @@ def view_main(argv: list[str]) -> int:
         "--meta", action="store_true", help="print artifact metadata first"
     )
     args = ap.parse_args(argv)
+    _check_top(ap, args)
 
     snapshot = _load_artifact(args.artifact)
     if args.meta:
@@ -456,6 +458,7 @@ def merge_main(argv: list[str]) -> int:
     )
     ap.add_argument("--top", type=int, default=20, help="rows to display")
     args = ap.parse_args(argv)
+    _check_top(ap, args)
 
     from ..artifact import merge_snapshots, write_artifact
 
@@ -501,6 +504,7 @@ def diff_main(argv: list[str]) -> int:
     ap.add_argument("--label-a", default=None, help="column label for BEFORE")
     ap.add_argument("--label-b", default=None, help="column label for AFTER")
     args = ap.parse_args(argv)
+    _check_top(ap, args)
 
     from ..artifact import diff_snapshots, render_blame_diff
 
@@ -564,6 +568,12 @@ def _quarantine_gate(result, limit: float | None) -> int:
         )
         return 3
     return 0
+
+
+def _check_top(ap: argparse.ArgumentParser, args) -> None:
+    """Exit-2 check on ``--top``, which every view-printing command takes."""
+    if args.top < 1:
+        ap.error(f"--top must be >= 1 (got {args.top})")
 
 
 def _check_run_knobs(ap: argparse.ArgumentParser, args) -> "object | None":

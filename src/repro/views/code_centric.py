@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..blame.postmortem import PostmortemResult
+from ..blame.postmortem import PostmortemResult, count_paths
 from ..ir.module import Module
 from .tables import pct, render_table
 
@@ -47,24 +47,31 @@ def _display_name(module: Module, func: str) -> str:
 def build_code_centric(
     module: Module, postmortem: PostmortemResult
 ) -> list[FunctionProfile]:
+    """Flat and cumulative counts per display function.  Both depend
+    only on an instance's call path, so each distinct path is walked
+    once, weighted by its count, and each function's display name is
+    resolved once."""
     profiles: dict[str, FunctionProfile] = {}
+    names: dict[str, str] = {}
 
-    def get(name: str) -> FunctionProfile:
+    def get(func: str) -> FunctionProfile:
+        name = names.get(func)
+        if name is None:
+            name = names[func] = _display_name(module, func)
         p = profiles.get(name)
         if p is None:
             p = FunctionProfile(name)
             profiles[name] = p
         return p
 
-    for inst in postmortem.instances:
-        leaf = _display_name(module, inst.frames[0][0])
-        get(leaf).flat += 1
+    for frames, n in count_paths(postmortem.instances).items():
+        get(frames[0][0]).flat += n
         seen: set[str] = set()
-        for func, _iid in inst.frames:
-            name = _display_name(module, func)
-            if name not in seen:
-                seen.add(name)
-                get(name).cumulative += 1
+        for func, _iid in frames:
+            p = get(func)
+            if p.name not in seen:
+                seen.add(p.name)
+                p.cumulative += n
     out = list(profiles.values())
     out.sort(key=lambda p: (-p.flat, -p.cumulative, p.name))
     return out

@@ -172,6 +172,8 @@ class TestProfileAndView:
             (["--inject-faults", "bogus=1"], "unknown fault spec key 'bogus'"),
             (["--inject-faults", "drop=2"], "drop_rate must be in [0, 1]"),
             (["--inject-faults", "worker-crash=1"], "unknown fault spec key"),
+            (["--top", "0"], "--top must be >= 1 (got 0)"),
+            (["--top", "-3"], "--top must be >= 1 (got -3)"),
         ],
     )
     def test_bad_interval_knobs_exit_2_with_usage(
@@ -203,6 +205,26 @@ class TestProfileAndView:
                 ["profile", source_file, "--adaptive", *extra, *FAST_ARGS]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, top",
+        [("view", "0"), ("diff", "-3"), ("merge", "0")],
+    )
+    def test_artifact_commands_refuse_top_below_one(
+        self, artifact, tmp_path, command, top, capsys
+    ):
+        operands = {
+            "view": [artifact],
+            "diff": [artifact, artifact],
+            "merge": [str(tmp_path / "merged.cbp"), artifact],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *operands, "--top", top])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"--top must be >= 1 (got {top})" in err
+        assert not (tmp_path / "merged.cbp").exists()
 
     def test_view_meta_line(self, artifact, capsys):
         rc = cli_main(["view", artifact, "--meta", "--view", "data"])
