@@ -11,11 +11,28 @@ Public API tour:
 * :mod:`repro.baselines` — pprof-style and HPCToolkit-style comparators;
 * :mod:`repro.bench` — the paper's three benchmarks (MiniMD, CLOMP,
   LULESH) plus the experiment harness regenerating each table/figure.
-"""
 
-from .compiler.lower import compile_source, lower_program
-from .tooling.profiler import ProfileResult, Profiler, run_only
+The top-level names resolve on first use, so importing a light
+subpackage (the artifact reader, the views) never loads the compiler.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = ["ProfileResult", "Profiler", "compile_source", "lower_program", "run_only", "__version__"]
+#: Top-level name → the module that defines it.
+_EXPORTS = {
+    "compile_source": "repro.compiler.lower",
+    "lower_program": "repro.compiler.lower",
+    "ProfileResult": "repro.tooling.profiler",
+    "Profiler": "repro.tooling.profiler",
+    "run_only": "repro.tooling.profiler",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(_EXPORTS[name]), name)

@@ -37,14 +37,15 @@ closed-world.
 
 from __future__ import annotations
 
-from ..blame.postmortem import Instance
 from ..blame.report import BlameReport, BlameRow, RunStats
 from ..errors import ArtifactError, ArtifactVersionError, DatasetCorruptError
 from ..sampling.dataset import check_line, crc_line
 from .model import (
     ArtifactMeta,
     CatalogFunction,
+    FrameTuple,
     FunctionCatalog,
+    InstanceColumns,
     ProfileSnapshot,
     SnapshotPostmortem,
 )
@@ -214,10 +215,25 @@ def artifact_bytes(snapshot: ProfileSnapshot) -> bytes:
 
 
 def _string(table: list[str], ix: int, what: str) -> str:
-    try:
-        return table[ix]
-    except (IndexError, TypeError) as exc:
-        raise ArtifactError(f"dangling string index {ix!r} in {what}") from exc
+    if type(ix) is not int or not 0 <= ix < len(table):
+        raise ArtifactError(f"dangling string index {ix!r} in {what}")
+    return table[ix]
+
+
+def _frame_table(rows: list, strings: list[str], what: str) -> list[FrameTuple]:
+    """A decoded stack or location table: ``[string_ix, n]`` pairs."""
+    return [
+        tuple((_string(strings, ix, what), n) for ix, n in row) for row in rows
+    ]
+
+
+def _check_ids(column: list, table: list, what: str) -> None:
+    """Every id in an instance column must index ``table``.  Checked
+    once per distinct id, so nothing that builds instances later can
+    fail on a damaged artifact."""
+    for ix in set(column):
+        if type(ix) is not int or not 0 <= ix < len(table):
+            raise ArtifactError(f"dangling {what} id {ix!r} in instances")
 
 
 def read_artifact(path: str) -> ProfileSnapshot:
@@ -229,8 +245,8 @@ def read_artifact(path: str) -> ProfileSnapshot:
     an unsupported format version.
     """
     try:
-        with open(path) as f:
-            raw_lines = [ln for ln in f.read().split("\n") if ln.strip()]
+        with open(path, "rb") as f:
+            raw_lines = [ln for ln in f.read().split(b"\n") if ln.strip()]
     except OSError as exc:
         raise ArtifactError(f"{path}: cannot read artifact: {exc}") from exc
     if not raw_lines:
@@ -316,35 +332,20 @@ def _decode(by_kind: dict[str, object]) -> ProfileSnapshot:
         ]
     )
 
-    stack_table = [
-        tuple((_string(strings, fn, "stack table"), iid) for fn, iid in stack)
-        for stack in by_kind["k"]
-    ]
-    loc_table = [
-        tuple((_string(strings, fi, "location table"), line) for fi, line in loc)
-        for loc in by_kind["l"]
-    ]
-
+    stacks = _frame_table(by_kind["k"], strings, "stack table")
+    locations = _frame_table(by_kind["l"], strings, "location table")
     ic = by_kind["i"]
-    cols = (ic["ix"], ic["th"], ic["st"], ic["lo"], ic["gl"], ic["tg"], ic["rc"])
+    cols = [ic[k] for k in ("ix", "th", "st", "lo", "gl", "tg", "rc")]
+    if not all(isinstance(c, list) for c in cols):
+        raise ArtifactError("instance column is not a list")
     if len({len(c) for c in cols}) > 1:
         raise ArtifactError("instance columns have inconsistent lengths")
-    instances = [
-        Instance(
-            index=ix,
-            thread_id=th,
-            frames=stack_table[st],
-            locations=loc_table[lo],
-            was_glued=bool(gl),
-            spawn_tag=tg,
-            was_recovered=bool(rc),
-        )
-        for ix, th, st, lo, gl, tg, rc in zip(*cols)
-    ]
+    _check_ids(ic["st"], stacks, "stack")
+    _check_ids(ic["lo"], locations, "location")
 
     prov = by_kind["p"]
     postmortem = SnapshotPostmortem(
-        instances=instances,
+        instance_data=InstanceColumns(*cols, stacks=stacks, locations=locations),
         n_raw=prov["n_raw"],
         n_runtime=prov["n_runtime"],
         n_recovered=prov["n_recovered"],

@@ -100,9 +100,8 @@ def merge_snapshots(
     for s in snapshots[1:]:
         catalog = catalog.union(s.catalog)
 
-    instances = [i for s in snapshots for i in s.postmortem.instances]
     postmortem = SnapshotPostmortem(
-        instances=instances,
+        instance_data=[i for s in snapshots for i in s.postmortem.instances],
         n_raw=sum(s.postmortem.n_raw for s in snapshots),
         n_runtime=sum(s.postmortem.n_runtime for s in snapshots),
         n_recovered=sum(s.postmortem.n_recovered for s in snapshots),

@@ -47,11 +47,14 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from ..ir.module import Module
 from ..sampling.monitor import Monitor
-from ..sampling.records import RawSample
 from ..sampling.stackwalk import StackResolver
+
+if TYPE_CHECKING:
+    from ..ir.module import Module
+    from ..sampling.records import RawSample
 
 #: Provenance reasons for unattributable / rejected samples.
 REASON_TRUNCATED = "truncated-stack"
@@ -115,6 +118,9 @@ class PostmortemResult:
     @property
     def n_user(self) -> int:
         return len(self.instances)
+
+    def path_counts(self) -> "Counter[tuple[tuple[str, int], ...]]":
+        return count_paths(self.instances)
 
     @property
     def n_unknown(self) -> int:

@@ -8,15 +8,19 @@ Tables II/IV/VI), plus run statistics for the overhead discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..chapel.types import ArrayType, RecordType, TupleType, Type
-from .attribution import AttributionResult, VariableBlame
-from .dataflow import Path
+if TYPE_CHECKING:
+    from ..chapel.types import Type
+    from .attribution import AttributionResult
+    from .dataflow import Path
 
 
 def path_type(root_type: Type | None, path: Path) -> Type | None:
     """Static type at the end of a field path (Table IV's Type column
     for ``->`` rows)."""
+    from ..chapel.types import ArrayType, RecordType, TupleType
+
     t = root_type
     for elem in path:
         if t is None:

@@ -10,7 +10,8 @@ region inside ``Profiler.profile()``:
     postmortem_stage  raw samples      → consolidated instances (step 3)
     attribute_stage   instances        → per-variable blame (step 3)
     aggregate_stage   blame + counts   → BlameReport (step 4)
-    render_stage      report/snapshot  → one view's text (step 4)
+    render_stage      report/snapshot  → one view's text (step 4;
+                                         defined in :mod:`repro.views`)
 
 :class:`~repro.tooling.profiler.Profiler` is now a thin driver over
 these stages, and the ``.cbp`` artifact is the serialized contract
@@ -23,7 +24,6 @@ byte-identical text for both.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..blame.attribution import AttributionResult, BlameAttributor
@@ -36,6 +36,7 @@ from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
 from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
 from ..sampling.records import RawSample
+from ..views import VIEWS, render_stage  # noqa: F401  re-exported: step 4b
 
 #: (source, filename, fast) → compiled (and fast-lowered) Module.
 #: Profiling the same program repeatedly in one process reuses one
@@ -185,44 +186,3 @@ def aggregate_stage(
         unknown_by_reason=pm.unknown_by_reason(),
         quarantine_by_reason=quarantine_reasons,
     )
-
-
-#: Views render_stage knows how to produce.
-VIEWS = ("data", "code", "hybrid", "html")
-
-
-def render_stage(profile, view: str = "data", top: int = 20, findings=None) -> str:
-    """Step 4b — one view's text from anything profile-shaped.
-
-    ``profile`` needs ``report``, ``module`` (anything answering
-    ``get_function``) and ``postmortem`` — satisfied by a live
-    :class:`~repro.tooling.profiler.ProfileResult` *and* by a
-    :class:`~repro.artifact.model.ProfileSnapshot` loaded from disk,
-    which is the artifact round-trip's byte-identity seam: both paths
-    funnel through this one function.
-
-    An adaptive run's decision trail (``profile.adaptive`` — a live
-    :class:`~repro.sampling.adaptive.AdaptiveTrail` or the artifact's
-    decoded dict) is normalized to its dict form here, so live and
-    replayed renders draw the footer from the identical payload.
-    """
-    adaptive = getattr(profile, "adaptive", None)
-    if adaptive is not None and hasattr(adaptive, "as_dict"):
-        adaptive = adaptive.as_dict()
-    if view == "data":
-        from ..views.data_centric import render_data_centric
-
-        return render_data_centric(profile.report, top=top, adaptive=adaptive)
-    if view == "code":
-        from ..views.code_centric import render_code_centric
-
-        return render_code_centric(profile.module, profile.postmortem, top=top)
-    if view == "hybrid":
-        from ..views.hybrid import render_hybrid
-
-        return render_hybrid(profile.report, findings=findings, adaptive=adaptive)
-    if view == "html":
-        from ..views.html import render_html_report
-
-        return render_html_report(profile, top=top)
-    raise ValueError(f"unknown view {view!r} (want one of {'|'.join(VIEWS)})")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 
@@ -142,35 +143,41 @@ def load_samples(path: str) -> tuple[DatasetHeader, list[RawSample]]:
 
 
 def crc_line(kind: str, payload: dict | list) -> str:
-    """One CRC-framed record line: ``{"c": <crc32>, "<kind>": <payload>}``.
+    """One CRC-framed record line, ``{"c":CRC,"<kind>":BODY}``: BODY is
+    the compact, key-sorted JSON of ``payload`` and CRC the CRC-32 of
+    BODY's bytes.
 
     Shared framing: the v2 sample journal and the ``.cbp`` profile
     artifact (:mod:`repro.artifact.format`) both use it, so one reader
     (:func:`check_line`) detects bit flips in either."""
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return json.dumps(
-        {"c": zlib.crc32(body.encode())}, separators=(",", ":")
-    )[:-1] + f',"{kind}":{body}}}'
+    return f'{{"c":{zlib.crc32(body.encode())},"{kind}":{body}}}'
 
 
-def check_line(line: str) -> tuple[str, dict | list]:
+#: The exact layout :func:`crc_line` writes: the CRC in decimal, the
+#: record kind, then the payload bytes the CRC covers.
+_FRAME = re.compile(rb'\{"c":(0|[1-9][0-9]{0,9}),"(\w+)":(.*)\}', re.DOTALL)
+
+
+def check_line(line: str | bytes) -> tuple[str, dict | list]:
     """Parses and checksum-verifies one framed line → (kind, payload).
 
-    Raises :class:`DatasetCorruptError` on any damage."""
-    try:
-        d = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetCorruptError(f"unparseable journal line: {exc}") from exc
-    if not isinstance(d, dict) or "c" not in d:
-        raise DatasetCorruptError("journal line missing checksum")
-    kinds = [k for k in d if k != "c"]
-    if len(kinds) != 1:
-        raise DatasetCorruptError("journal line has no single payload")
-    kind = kinds[0]
-    body = json.dumps(d[kind], separators=(",", ":"), sort_keys=True)
-    if zlib.crc32(body.encode()) != d["c"]:
+    The CRC is checked over the payload bytes exactly as
+    :func:`crc_line` wrote them, so a line in any other layout — other
+    separators, another key order, extra keys — is rejected rather than
+    re-serialized.  Raises :class:`DatasetCorruptError` on any damage."""
+    raw = line.encode() if isinstance(line, str) else line
+    m = _FRAME.fullmatch(raw)
+    if m is None:
+        raise DatasetCorruptError("line is not a CRC-framed record")
+    crc, kind, body = m.groups()
+    kind = kind.decode()
+    if zlib.crc32(body) != int(crc):
         raise DatasetCorruptError(f"checksum mismatch on {kind!r} record")
-    return kind, d[kind]
+    try:
+        return kind, json.loads(body)
+    except ValueError as exc:
+        raise DatasetCorruptError(f"unparseable {kind!r} record: {exc}") from exc
 
 
 @dataclass
@@ -264,10 +271,9 @@ def scan_journal(path: str) -> tuple[list[RawSample], JournalScan]:
     samples: list[RawSample] = []
     with open(path, "rb") as f:
         raw_lines = f.read().split(b"\n")
-    first = raw_lines[0].decode("utf-8", errors="replace") if raw_lines else ""
-    if not first.strip():
+    if not raw_lines[0].strip():
         raise DatasetCorruptError(f"{path}: empty journal")
-    kind, payload = check_line(first)  # header damage is unrecoverable
+    kind, payload = check_line(raw_lines[0])  # header damage is unrecoverable
     if kind != "h":
         raise DatasetCorruptError(f"{path}: first record is not a header")
     header = DatasetHeader.from_json(payload)
@@ -277,12 +283,11 @@ def scan_journal(path: str) -> tuple[list[RawSample], JournalScan]:
     n_corrupt = 0
     error: str | None = None
     for i, raw in enumerate(raw_lines[1:], start=1):
-        line = raw.decode("utf-8", errors="replace")
-        if not line.strip():
+        if not raw.strip():
             offset += len(raw) + 1
             continue
         try:
-            kind, payload = check_line(line)
+            kind, payload = check_line(raw)
             if kind != "s":
                 raise DatasetCorruptError(f"unexpected record kind {kind!r}")
             samples.append(_sample_from_json(payload))
@@ -316,8 +321,3 @@ def load_journal(
             f"({scan.error})"
         )
     return scan.header, samples, scan
-
-
-# Back-compat aliases for the pre-artifact private names.
-_crc_line = crc_line
-_check_line = check_line

@@ -8,9 +8,12 @@ debug info — the DyninstAPI lookup in the real tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import DebugInfoError
-from ..ir.module import Module
+
+if TYPE_CHECKING:
+    from ..ir.module import Module
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ import os
 import sys
 
 from ..errors import ArtifactError, SampleFormatError
-from ..pipeline.stages import render_stage
-from .profiler import Profiler
 
 #: Subcommands `main` dispatches on.
 SUBCOMMANDS = ("profile", "view", "merge", "diff", "advise")
@@ -143,6 +141,8 @@ def _print_views(profile, view: str, top: int) -> None:
     """The shared presentation path: `profile` and `view` both print
     through here, which is what keeps artifact renders byte-identical
     to live ones."""
+    from ..views import render_stage
+
     if view in ("data", "all"):
         print(render_stage(profile, "data", top=top))
         print()
@@ -295,6 +295,8 @@ def profile_main(argv: list[str]) -> int:
     except OSError as exc:
         print(f"repro-profile: {exc}", file=sys.stderr)
         return 2
+
+    from .profiler import Profiler
 
     if args.save_samples:
         # Deterministic ids so the dataset is re-analyzable offline.
@@ -733,6 +735,8 @@ def advise_main(argv: list[str] | None = None) -> int:
     blame_info = None
     try:
         if args.profile:
+            from .profiler import Profiler
+
             profiler = Profiler(
                 source,
                 filename=filename,
@@ -764,6 +768,8 @@ def advise_main(argv: list[str] | None = None) -> int:
         print(findings_to_json(shown))
     else:
         if report is not None:
+            from ..views import render_stage
+
             print(render_stage(result, "hybrid", findings=shown))
             print()
         print(render_findings(shown, title=f"Advisor report: {filename}"))

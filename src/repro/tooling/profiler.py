@@ -1,9 +1,9 @@
 """The end-to-end tool: the four-step pipeline of paper Fig. 2.
 
-1. static analysis  → :class:`~repro.blame.ModuleBlameInfo`
-2. execution w/ sampling → :class:`~repro.sampling.Monitor` raw samples
+1. static analysis  → :class:`~repro.blame.static_info.ModuleBlameInfo`
+2. execution w/ sampling → :class:`~repro.sampling.monitor.Monitor` raw samples
 3. post-mortem processing → instances → attribution
-4. data presentation → :class:`~repro.blame.BlameReport` (+ views)
+4. data presentation → :class:`~repro.blame.report.BlameReport` (+ views)
 
 The stages themselves live in :mod:`repro.pipeline.stages`;
 :class:`Profiler` is the driver that wires them together, in one of two

@@ -11,11 +11,14 @@ parallel-loop frames merge into the user functions that spawned them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..blame.postmortem import PostmortemResult, count_paths
-from ..ir.module import Module
 from .tables import pct, render_table
+
+if TYPE_CHECKING:
+    from ..blame.postmortem import PostmortemResult
+    from ..ir.module import Module
 
 
 @dataclass
@@ -64,7 +67,7 @@ def build_code_centric(
             profiles[name] = p
         return p
 
-    for frames, n in count_paths(postmortem.instances).items():
+    for frames, n in postmortem.path_counts().items():
         get(frames[0][0]).flat += n
         seen: set[str] = set()
         for func, _iid in frames:

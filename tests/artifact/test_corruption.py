@@ -17,6 +17,7 @@ from repro.artifact import (
 )
 from repro.errors import ArtifactError, ArtifactVersionError, ReproError
 from repro.sampling.dataset import crc_line
+from repro.tooling.cli import main as cli_main
 
 from .conftest import profile_benchmark
 
@@ -101,6 +102,19 @@ def reframe(kind: str, payload) -> str:
     return crc_line(kind, payload)
 
 
+def with_payload(lines: list[str], kind: str, edit) -> list[str]:
+    """``lines`` with the ``kind`` record's payload passed through
+    ``edit`` (which mutates it in place) and validly re-framed."""
+    out = list(lines)
+    for n, line in enumerate(out):
+        rec = json.loads(line)
+        if kind in rec:
+            edit(rec[kind])
+            out[n] = reframe(kind, rec[kind])
+            return out
+    raise AssertionError(f"no {kind!r} record")
+
+
 class TestStructure:
     def header_payload(self, artifact_path) -> dict:
         line = artifact_path.read_text().splitlines()[0]
@@ -164,3 +178,46 @@ class TestStructure:
         lines[-1] = reframe("z", {"records": len(lines)})
         snapshot = read_artifact(damaged(tmp_path, lines))
         assert snapshot.report.stats.user_samples > 0
+
+    def assert_rejected(self, tmp_path, lines, capsys, match):
+        """``read_artifact`` raises the typed error at read time, and
+        ``view`` exits 1 with a one-line message instead of a trace."""
+        path = damaged(tmp_path, lines)
+        with pytest.raises(ArtifactError, match=match):
+            read_artifact(path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["view", path, "--view", "all"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "repro-profile:" in err and "Traceback" not in err
+
+    def test_negative_string_index(self, artifact_path, tmp_path, capsys):
+        # A negative index must not wrap around to the table's tail.
+        lines = artifact_path.read_text().splitlines()
+
+        def edit(rep):
+            rep["rows"]["nm"][0] = -1
+
+        lines = with_payload(lines, "b", edit)
+        self.assert_rejected(tmp_path, lines, capsys, "dangling string index -1")
+
+    def test_negative_stack_id(self, artifact_path, tmp_path, capsys):
+        lines = artifact_path.read_text().splitlines()
+
+        def edit(cols):
+            cols["st"][0] = -1
+
+        lines = with_payload(lines, "i", edit)
+        self.assert_rejected(tmp_path, lines, capsys, "dangling stack id -1")
+
+    def test_out_of_range_location_id(self, artifact_path, tmp_path, capsys):
+        lines = artifact_path.read_text().splitlines()
+        n_locations = len(json.loads(lines[4])["l"])
+
+        def edit(cols):
+            cols["lo"][-1] = n_locations
+
+        lines = with_payload(lines, "i", edit)
+        self.assert_rejected(
+            tmp_path, lines, capsys, f"dangling location id {n_locations}"
+        )

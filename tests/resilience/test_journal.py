@@ -138,9 +138,9 @@ class TestResume:
         journal.close()
         assert recovered == _samples(30)
 
-    def test_checksum_canonicalization_survives_key_order(self, tmp_path):
-        # A record re-serialized with different key order still verifies
-        # (the checksum is over a canonical sort_keys dump).
+    def test_reserialized_record_is_rejected(self, tmp_path):
+        # The checksum covers the payload bytes as written, so a record
+        # re-serialized with another key order is damage, not a match.
         path = str(tmp_path / "run.journal")
         with DatasetJournal(path, _header()) as j:
             j.extend(_samples(3))
@@ -152,4 +152,6 @@ class TestResume:
         with open(path, "w") as f:
             f.writelines(lines)
         _, samples, scan = load_journal(path)
-        assert scan.intact and len(samples) == 3
+        assert not scan.intact and samples == [] and scan.n_corrupt == 3
+        with pytest.raises(DatasetCorruptError):
+            load_journal(path, strict=True)

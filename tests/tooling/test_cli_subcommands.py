@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -89,6 +90,54 @@ class TestDispatch:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_artifact_commands_load_no_pipeline(self, artifact, tmp_path):
+        # view, merge, diff and --version only read artifacts: none of
+        # them may pay for the front end, IR, engine, static analysis or
+        # pipeline.  The documented top-level names still resolve, on
+        # first use.
+        merged = str(tmp_path / "merged.cbp")
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from repro.tooling.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["view", {artifact!r}, "--view", "all"]) == 0
+                assert main(["diff", {artifact!r}, {artifact!r}]) == 0
+                assert main(["merge", {merged!r}, {artifact!r}]) == 0
+                assert main(["--version"]) == 0
+            heavy = ("compiler", "runtime", "chapel", "ir", "analysis", "pipeline")
+            print(sorted(
+                m for m in sys.modules
+                if m.split(".")[:2] in [["repro", h] for h in heavy]
+                or m == "repro.tooling.profiler"
+            ))
+            import repro
+            from repro.tooling import Profiler, ProfileResult, run_only
+            from repro.tooling import profiler
+            from repro.compiler import lower
+            assert repro.Profiler is Profiler is profiler.Profiler
+            assert repro.ProfileResult is ProfileResult is profiler.ProfileResult
+            assert repro.run_only is run_only is profiler.run_only
+            assert repro.compile_source is lower.compile_source
+            assert repro.lower_program is lower.lower_program
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_unknown_top_level_name_is_an_attribute_error(self):
+        import repro.tooling
+
+        for package in (repro, repro.tooling):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                package.no_such_name
 
 
 class TestProfileAndView:
