@@ -18,13 +18,16 @@ from repro.bench import harness
 
 
 def profile():
-    return harness.lulesh_profile()
+    """LULESH's raw sample stream, collected through the profiler's tap."""
+    samples = []
+    harness.lulesh_profile(tap=samples.extend)
+    return samples
 
 
 def test_fig4_pprof_output(benchmark, record):
-    res = run_once(benchmark, profile)
-    rows = build_pprof_profile(res.monitor.samples)
-    total = len(res.monitor.samples)
+    samples = run_once(benchmark, profile)
+    rows = build_pprof_profile(samples)
+    total = len(samples)
     by_name = {r.function: r for r in rows}
 
     # __sched_yield is a top entry with a large share (paper: 79 %).
@@ -45,7 +48,7 @@ def test_fig4_pprof_output(benchmark, record):
 
     record(
         "fig4_pprof_lulesh",
-        render_pprof(res.monitor.samples, binary_name="lulesh", top=10)
+        render_pprof(samples, binary_name="lulesh", top=10)
         + "\n(paper Fig. 4: __sched_yield 79.0%, coforall_fn_chpl22 5.3%, "
         "CalcElemNodeNormals_chpl 0.9%)",
     )

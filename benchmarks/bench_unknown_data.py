@@ -19,13 +19,20 @@ def measure():
     out = {}
     # Sizes chosen so the programs do own >4KB arrays — the baseline
     # gets its fair chance and still loses almost everything.
+    clomp_samples, lulesh_samples = [], []
     clomp_res = harness.clomp_profile(
-        optimized=False, num_parts=640, zones_per_part=6, timesteps=1
+        optimized=False, num_parts=640, zones_per_part=6, timesteps=1,
+        tap=clomp_samples.extend,
     )
-    lulesh_res = harness.lulesh_profile(edge_elems=5, max_steps=2)
-    for name, res in (("CLOMP", clomp_res), ("LULESH", lulesh_res)):
+    lulesh_res = harness.lulesh_profile(
+        edge_elems=5, max_steps=2, tap=lulesh_samples.extend
+    )
+    for name, res, samples in (
+        ("CLOMP", clomp_res, clomp_samples),
+        ("LULESH", lulesh_res, lulesh_samples),
+    ):
         att = HpctkAttributor(res.module, res.interpreter)
-        out[name] = (res, att.attribute(res.monitor.samples))
+        out[name] = (res, att.attribute(samples))
     return out
 
 

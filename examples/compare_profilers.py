@@ -47,21 +47,23 @@ proc main() {
 
 
 def main() -> None:
+    # The baselines read the raw sample stream; the tap collects it.
+    samples = []
     result = Profiler(
         SOURCE, filename="nested.chpl", num_threads=8, threshold=1009
-    ).profile()
+    ).profile(tap=samples.extend)
 
     print("=" * 72)
     print("1) pprof-style code-centric (raw stacks)")
     print("=" * 72)
-    print(render_pprof(result.monitor.samples, binary_name="nested", top=8))
+    print(render_pprof(samples, binary_name="nested", top=8))
 
     print()
     print("=" * 72)
     print("2) HPCToolkit-style data-centric (allocation tracking)")
     print("=" * 72)
     att = HpctkAttributor(result.module, result.interpreter)
-    hp = att.attribute(result.monitor.samples)
+    hp = att.attribute(samples)
     print(render_hpctk(hp, "nested.chpl"))
     print()
     print(

@@ -50,7 +50,10 @@ def main() -> None:
     print("=" * 72)
     print("1) Iterators: blame attributes the iterator's work in main")
     print("=" * 72)
-    res = Profiler(module, num_threads=8, threshold=809).profile()
+    samples = []
+    res = Profiler(module, num_threads=8, threshold=809).profile(
+        tap=samples.extend
+    )
     print(render_data_centric(res.report, top=8, min_blame=0.02))
 
     print()
@@ -80,7 +83,7 @@ def main() -> None:
             threshold=809,
             num_threads=8,
         )
-        save_samples(path, header, res.monitor.samples)
+        save_samples(path, header, samples)
         print(f"  saved {res.monitor.n_samples} samples "
               f"({os.path.getsize(path)} bytes)")
         _module, _pm, report = analyze_dataset(path, SOURCE, "hist.chpl")

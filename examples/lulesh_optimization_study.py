@@ -18,8 +18,9 @@ def main() -> None:
     print("=" * 72)
     print("What a code-centric profiler shows for LULESH (paper Fig. 4)")
     print("=" * 72)
-    prof = harness.lulesh_profile()
-    print(render_pprof(prof.monitor.samples, binary_name="lulesh", top=8))
+    samples = []
+    prof = harness.lulesh_profile(tap=samples.extend)
+    print(render_pprof(samples, binary_name="lulesh", top=8))
     print()
     print(
         "__sched_yield and forall_fn_chplN frames dominate; nothing names\n"

@@ -106,8 +106,10 @@ def profile_variant(
     fast: bool = False,
     num_threads: int = NUM_THREADS,
     threshold: int = PROFILE_THRESHOLD,
+    tap=None,
 ) -> ProfileResult:
-    """Full blame profile of one run."""
+    """Full blame profile of one run (``tap`` as in
+    :meth:`~repro.tooling.profiler.Profiler.profile`)."""
     return Profiler(
         source,
         filename=name,
@@ -115,7 +117,7 @@ def profile_variant(
         num_threads=num_threads,
         threshold=threshold,
         fast=fast,
-    ).profile()
+    ).profile(tap=tap)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +149,11 @@ def minimd_speedups(**cfg) -> SpeedupResult:
 # ---------------------------------------------------------------------------
 
 
-def clomp_profile(optimized: bool = False, **cfg) -> ProfileResult:
+def clomp_profile(optimized: bool = False, tap=None, **cfg) -> ProfileResult:
     source = clomp.build_source(optimized=optimized)
-    return profile_variant(source, "clomp.chpl", config=clomp.config_for(**cfg))
+    return profile_variant(
+        source, "clomp.chpl", config=clomp.config_for(**cfg), tap=tap
+    )
 
 
 def clomp_speedups_for_shape(
@@ -181,10 +185,12 @@ def clomp_table_v() -> list[tuple[str, int, int, SpeedupResult]]:
 
 
 def lulesh_profile(
-    variant: lulesh.LuleshVariant | None = None, **cfg
+    variant: lulesh.LuleshVariant | None = None, tap=None, **cfg
 ) -> ProfileResult:
     source = lulesh.build_source(variant)
-    return profile_variant(source, "lulesh.chpl", config=lulesh.config_for(**cfg))
+    return profile_variant(
+        source, "lulesh.chpl", config=lulesh.config_for(**cfg), tap=tap
+    )
 
 
 def lulesh_time(

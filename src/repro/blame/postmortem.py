@@ -101,9 +101,6 @@ class PostmortemResult:
     """Outcome of post-mortem processing."""
 
     instances: list[Instance]
-    #: Idle / pure-runtime samples (kept for the code-centric view;
-    #: empty in bounded-memory streaming mode — see ``n_runtime``).
-    runtime_samples: list[RawSample]
     n_raw: int
     #: Unattributable samples, by provenance (tolerant mode only).
     unknown: list[DegradedSample] = field(default_factory=list)
@@ -111,8 +108,7 @@ class PostmortemResult:
     quarantined: list[DegradedSample] = field(default_factory=list)
     #: Instances whose call path was repaired by suffix-match recovery.
     n_recovered: int = 0
-    #: Count of runtime/idle samples (== ``len(runtime_samples)`` unless
-    #: the consumer ran with ``keep_runtime_samples=False``).
+    #: Idle / pure-runtime samples (counted, not kept).
     n_runtime: int = 0
 
     @property
@@ -207,8 +203,8 @@ class PostmortemConsumer:
       arrive later in the run cannot repair an early-flushed sample).
       ``None`` (the default) holds all candidates to the end, matching
       the one-shot semantics exactly;
-    * ``keep_runtime_samples=False`` additionally drops idle/runtime
-      samples after counting them (the views only use the count);
+    * idle/runtime samples are counted and dropped (the views only use
+      the count);
     * the per-path memo holds one first-pass outcome per distinct call
       path, so it grows with the number of paths, not of samples.
     """
@@ -219,7 +215,6 @@ class PostmortemConsumer:
         options: object | None = None,
         tolerant: bool = False,
         evidence_window: int | None = None,
-        keep_runtime_samples: bool = True,
     ) -> None:
         from .options import FULL
 
@@ -229,11 +224,9 @@ class PostmortemConsumer:
         if evidence_window is not None and evidence_window < 1:
             raise ValueError("evidence_window must be >= 1 (or None)")
         self.evidence_window = evidence_window
-        self.keep_runtime_samples = keep_runtime_samples
 
         self._resolver = StackResolver(module)
         self._instances: list[Instance] = []
-        self._runtime: list[RawSample] = []
         self._n_runtime = 0
         self._quarantined: list[DegradedSample] = []
         self._unknown: list[DegradedSample] = []
@@ -307,7 +300,6 @@ class PostmortemConsumer:
         self._candidates = []
         return PostmortemResult(
             instances=self._instances,
-            runtime_samples=self._runtime,
             n_raw=self._n_raw,
             unknown=self._unknown,
             quarantined=self._quarantined,
@@ -320,7 +312,7 @@ class PostmortemConsumer:
     def _consume(self, s: RawSample) -> None:
         self._n_raw += 1
         if s.is_idle:
-            self._count_runtime(s)
+            self._n_runtime += 1
             return
         if self.tolerant and Monitor.validate(s) is not None:
             self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
@@ -348,12 +340,7 @@ class PostmortemConsumer:
         elif path.outcome is _HELD:
             self._candidates.append((s, path))
         else:
-            self._count_runtime(s)
-
-    def _count_runtime(self, s: RawSample) -> None:
-        self._n_runtime += 1
-        if self.keep_runtime_samples:
-            self._runtime.append(s)
+            self._n_runtime += 1
 
     def _first_sight(self, s: RawSample) -> _Path:
         """Consolidates the call path of ``s``, seen for the first time.

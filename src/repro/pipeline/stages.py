@@ -13,8 +13,14 @@ region inside ``Profiler.profile()``:
     render_stage      report/snapshot  → one view's text (step 4;
                                          defined in :mod:`repro.views`)
 
-:class:`~repro.tooling.profiler.Profiler` is now a thin driver over
-these stages, and the ``.cbp`` artifact is the serialized contract
+:class:`~repro.tooling.profiler.Profiler` is the one streaming driver:
+``collect_stage`` with a sink that feeds post-mortem batch by batch,
+then ``aggregate_stage``.  The materialized composition — ``collect_stage``
+without a sink, then ``postmortem_stage``, ``attribute_stage`` and
+``aggregate_stage`` — is the reference the driver is tested against,
+and the shape of offline analysis (``repro-analyze``).
+
+The ``.cbp`` artifact is the serialized contract
 between ``aggregate_stage`` and ``render_stage``: ``render_stage``
 accepts anything exposing ``report`` / ``module`` / ``postmortem`` —
 a live :class:`~repro.tooling.profiler.ProfileResult` or a loaded
@@ -33,7 +39,7 @@ from ..blame.static_info import ModuleBlameInfo
 from ..compiler.lower import compile_source
 from ..ir.module import Module
 from ..runtime.interpreter import Interpreter, RunResult
-from ..sampling.monitor import Monitor
+from ..sampling.monitor import Monitor, StopSampling
 from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
 from ..sampling.records import RawSample
 from ..views import VIEWS, render_stage  # noqa: F401  re-exported: step 4b
@@ -97,9 +103,13 @@ def collect_stage(
 ) -> Collection:
     """Step 2 — execution under the monitor.
 
-    Pass ``sink`` to stream sample batches out as they are collected
-    (bounded memory) instead of retaining the whole run; the final
-    partial batch is flushed before this returns.
+    Without a ``sink`` the monitor retains the whole stream in
+    ``monitor.samples``, which :func:`postmortem_stage` consumes.  With
+    one, samples stream out in batches of ``batch_size`` as they fill,
+    only the current batch is resident, and the final partial batch is
+    flushed before this returns.  A sink that raises
+    :class:`~repro.sampling.monitor.StopSampling` ends the run there;
+    the run result then covers exactly the truncated execution.
     """
     monitor = Monitor(
         PMUConfig(threshold=threshold), sink=sink, batch_size=batch_size
@@ -113,7 +123,10 @@ def collect_stage(
         skid=skid,
         skid_compensation=skid_compensation,
     )
-    run_result = interp.run()
+    try:
+        run_result = interp.run()
+    except StopSampling:
+        run_result = interp.build_run_result()
     monitor.flush()
     return Collection(monitor=monitor, interpreter=interp, run_result=run_result)
 
@@ -124,11 +137,10 @@ def postmortem_stage(
     options: "object | None" = None,
     tolerant: bool = True,
 ) -> PostmortemResult:
-    """Step 3a — stack consolidation over a materialized stream.
-
-    (The streaming driver bypasses this wrapper and feeds a
-    :class:`~repro.blame.postmortem.PostmortemConsumer` directly from
-    the collect-stage sink.)
+    """Step 3a — stack consolidation over a materialized stream: the
+    reference composition and offline analysis.  The streaming driver
+    instead feeds a :class:`~repro.blame.postmortem.PostmortemConsumer`
+    from the collect-stage sink, one batch at a time.
     """
     return process_samples(module, samples, options=options, tolerant=tolerant)
 

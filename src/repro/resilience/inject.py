@@ -98,15 +98,7 @@ class FaultInjector:
 
     def degrade_samples(self, samples: list[RawSample]) -> list[RawSample]:
         """Returns a degraded copy of the stream (original untouched)."""
-        if self.plan.is_clean:
-            return list(samples)
-        rng = random.Random(f"{self.plan.seed}:stream")
-        out: list[RawSample] = []
-        for s in samples:
-            degraded = self._degrade_one(s, rng)
-            if degraded is not None:
-                out.append(degraded)
-        return out
+        return self.degrader()(samples)
 
     def degrader(self):
         """Returns a stateful batch-degrade function for streaming use.

@@ -224,8 +224,8 @@ class Interpreter:
         self, halted: bool = False, halt_message: str = ""
     ) -> RunResult:
         """Assembles a :class:`RunResult` from the current scheduler
-        state.  ``run()`` calls this at completion; the adaptive driver
-        calls it directly after unwinding the event loop early (the
+        state.  ``run()`` calls this at completion; ``collect_stage``
+        calls it directly after a sink stopped the run early (the
         clocks then reflect exactly the truncated execution).
 
         Tolerates the immediate-stop edge: a run unwound before any

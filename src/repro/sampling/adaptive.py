@@ -28,8 +28,9 @@ wall-clock lever for serving profile requests at interactive latency":
 * when the rule fires, :exc:`StopSampling` is raised out of the sink,
   unwinds the interpreter (both engines deliver PMU overflows outside
   their error-wrapping regions, so the exception propagates cleanly),
-  and the driver assembles a partial run result — the samples after the
-  stopping point are simply never generated.
+  and :func:`~repro.pipeline.stages.collect_stage` assembles a partial
+  run result — the samples after the stopping point are simply never
+  generated.
 
 Degraded telemetry (quarantined samples, unresolved repair candidates)
 widens the intervals and therefore *delays* stopping; it can never
@@ -54,25 +55,11 @@ from ..blame.confidence import (
     rank_agreement,
 )
 from ..blame.report import BlameReport, RunStats, build_rows
+from .monitor import StopSampling
 
 #: Stop reasons recorded in the trail.
 REASON_SETTLED = "ranking-settled"
 REASON_EXHAUSTED = "stream-exhausted"
-
-
-class StopSampling(Exception):
-    """Raised out of the monitor's sink to halt collection early.
-
-    Deliberately *not* a :class:`~repro.runtime.values.RuntimeError_`:
-    the interpreter wraps those into program-level execution errors,
-    whereas this is a measurement decision that must unwind past the
-    event loop untouched.
-    """
-
-    def __init__(self, reason: str, rounds: int) -> None:
-        super().__init__(f"adaptive stop after round {rounds}: {reason}")
-        self.reason = reason
-        self.rounds = rounds
 
 
 @dataclass(frozen=True)
@@ -231,16 +218,13 @@ class AdaptiveController:
         consumer = PostmortemConsumer(module, tolerant=True, ...)
         ctl = AdaptiveController(cfg, static_info, consumer,
                                  degrade=injector.degrader(), program=...)
-        monitor = Monitor(pmu, sink=ctl.sink,
-                          batch_size=cfg.round_samples)
-        ctl.bind_monitor(monitor)
-        try:
-            run_result = interp.run()
-        except StopSampling:
-            ...
-        ctl.close()          # final (partial) round never raises
-        monitor.flush()
-        attribution = ctl.finish()   # == attribute(pm.instances) exactly
+        coll = collect_stage(module, sink=ctl.sink,
+                             batch_size=cfg.round_samples)
+        pm, attribution = ctl.finish()  # == attribute(pm.instances) exactly
+
+    The monitor delivers full rounds while the program runs; only the
+    flush that ends a completed run delivers a shorter one.  That final
+    partial round is recorded but never stops the run.
 
     Incremental-attribution invariant: ``finish()`` attributes the
     post-``finish`` recovered instances as one last delta and merges it
@@ -275,7 +259,6 @@ class AdaptiveController:
             round_samples=config.round_samples,
             method=config.method,
         )
-        self.monitor = None
         self._attribution: AttributionResult | None = None
         self._n_attributed = 0
         self._n_fed = 0
@@ -284,35 +267,12 @@ class AdaptiveController:
         #: up the newest checkpoint at ≤ half the current sample count.
         self._history: list[tuple[int, BlameReport]] = []
         self._streak = 0
-        self._closing = False
         self._finished = False
 
-    def bind_monitor(self, monitor) -> None:
-        """Lets the stopping rule count ingest-time quarantine (which
-        happens inside the monitor, before the sink sees anything)."""
-        self.monitor = monitor
-
-    # -- sink protocol ---------------------------------------------------------
-
-    def sink(self, batch) -> None:
-        """One round: feed, attribute the delta, evaluate the rule."""
-        self._round(batch)
-
-    def close(self) -> None:
-        """Enters closing mode: the final partial round (delivered by
-        ``monitor.flush()`` after a natural run completion) is still
-        recorded, but the rule never raises again."""
-        self._closing = True
-
-    # -- the round -------------------------------------------------------------
-
     def _degraded_count(self) -> int:
-        """Samples whose blame is currently unknown: quarantined at
-        ingest or post-mortem, plus repair candidates still held back."""
-        n = self.consumer.n_quarantined + self.consumer.pending_candidates
-        if self.monitor is not None:
-            n += self.monitor.n_quarantined
-        return n
+        """Samples whose blame is currently unknown: quarantined by
+        post-mortem, plus repair candidates still held back."""
+        return self.consumer.n_quarantined + self.consumer.pending_candidates
 
     def _attribute_delta(self) -> None:
         new = self.consumer.instances_since(self._n_attributed)
@@ -344,7 +304,8 @@ class AdaptiveController:
             ),
         )
 
-    def _round(self, batch) -> None:
+    def sink(self, batch) -> None:
+        """One round: feed, attribute the delta, evaluate the rule."""
         cfg = self.config
         self._n_fed += len(batch)
         chunk = self.degrade(batch) if self.degrade is not None else batch
@@ -409,8 +370,10 @@ class AdaptiveController:
                 intervals=tuple(tuple(iv.as_row()) for iv in intervals),
             )
         )
+        # A short round is the flush that ends a completed run: it is
+        # recorded above but never stops anything.
         if (
-            not self._closing
+            len(batch) == cfg.round_samples
             and n_round >= cfg.min_rounds
             and self._streak >= cfg.stability_window
         ):
@@ -433,7 +396,5 @@ class AdaptiveController:
         self._finished = True
         pm = self.consumer.finish()
         self._attribute_delta()
-        self.trail.samples_collected = (
-            self.monitor.n_accepted if self.monitor is not None else self._n_fed
-        )
+        self.trail.samples_collected = self._n_fed
         return pm, self._attribution

@@ -126,17 +126,28 @@ def save_samples(
 def load_samples(path: str) -> tuple[DatasetHeader, list[RawSample]]:
     """Reads a dataset back: (header, samples).  Accepts both the plain
     v1 format and the v2 journal (strict: corrupt journals raise)."""
-    with open(path) as f:
+    header, samples, _scan = read_dataset(path, strict=True)
+    return header, samples
+
+
+def read_dataset(
+    path: str, strict: bool = False
+) -> tuple[DatasetHeader, list[RawSample], "JournalScan | None"]:
+    """Reads a dataset in either format: (header, samples, scan).
+
+    A v2 journal (its first line is CRC-framed) goes through
+    :func:`load_journal`: the verified prefix, plus the scan that counts
+    the records a torn tail lost (``strict`` raises on one instead).  A
+    v1 dataset has no scan."""
+    with open(path, "rb") as f:
         first = f.readline()
+        if first.startswith(b'{"c":'):
+            return load_journal(path, strict=strict)
         if not first:
             raise SampleFormatError(f"{path}: empty dataset")
-        d = json.loads(first)
-        if "h" in d and "c" in d:
-            header, samples, _scan = load_journal(path, strict=True)
-            return header, samples
-        header = DatasetHeader.from_json(d)
+        header = DatasetHeader.from_json(json.loads(first))
         samples = [_sample_from_json(json.loads(line)) for line in f if line.strip()]
-    return header, samples
+    return header, samples, None
 
 
 # -- v2: append-only journal with per-record checksums ----------------------

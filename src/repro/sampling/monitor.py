@@ -35,6 +35,22 @@ class OverheadStats:
         return self.stackwalk_cycles_total / self.n_samples if self.n_samples else 0.0
 
 
+class StopSampling(Exception):
+    """Raised out of the monitor's sink to halt collection early
+    (adaptive stopping); ``collect_stage`` ends the run there.
+
+    Deliberately *not* a :class:`~repro.runtime.values.RuntimeError_`:
+    the interpreter wraps those into program-level execution errors,
+    whereas this is a measurement decision that must unwind past the
+    event loop untouched.
+    """
+
+    def __init__(self, reason: str, rounds: int) -> None:
+        super().__init__(f"adaptive stop after round {rounds}: {reason}")
+        self.reason = reason
+        self.rounds = rounds
+
+
 @dataclass(frozen=True)
 class QuarantinedSample:
     """A sample rejected at ingest, kept for diagnosis."""
@@ -49,14 +65,14 @@ class Monitor:
     Two modes:
 
     * **retain** (default): every accepted sample is appended to
-      ``self.samples`` — the historical behaviour, used wherever the
-      caller wants the raw stream afterwards (``--save-samples``,
-      baseline attributors, tests);
+      ``self.samples`` — the materialized reference composition and
+      the engine identity checks read the stream afterwards;
     * **sink**: pass a ``sink`` callable and samples are delivered in
       batches of ``batch_size`` as collection proceeds, with only the
       current partial batch resident (``peak_resident`` records the
       high-water mark).  ``self.samples`` stays empty; call
       :meth:`flush` after the run to deliver the final partial batch.
+      Every :class:`~repro.tooling.profiler.Profiler` run uses this.
 
     ``n_accepted`` counts accepted samples in both modes (retain mode
     keeps ``n_accepted == len(self.samples)``), and sample indices are

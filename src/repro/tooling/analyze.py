@@ -13,6 +13,12 @@ This command reproduces that two-process workflow:
 The dataset header carries the source's SHA-256; analysis recompiles
 the source with fresh deterministic instruction ids and refuses to
 proceed on a hash mismatch (the ids would be meaningless).
+
+A journal (``--save-samples PATH --journal``) is written while the
+program runs, so a killed run leaves one with a torn tail: it is
+analyzed up to its verified prefix, and a status line reports how many
+records the tail lost.  Exit status: 0 on success; 1 for a damaged
+journal header or a source mismatch; 2 for bad usage or a missing file.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from ..blame.postmortem import process_samples
 from ..blame.report import BlameReport, RunStats, build_rows
 from ..blame.static_info import ModuleBlameInfo
 from ..compiler.lower import compile_source
-from ..sampling.dataset import load_samples, source_digest
+from ..errors import DatasetCorruptError
+from ..sampling.dataset import read_dataset, source_digest
 from ..views.code_centric import render_code_centric
 from ..views.data_centric import render_data_centric
 from ..views.hybrid import render_hybrid
@@ -42,13 +49,28 @@ def analyze_dataset(
     include_temps: bool = False,
     min_blame: float = 0.0,
 ):
-    """Re-runs steps 1+3 over a saved dataset; returns
-    (module, postmortem, report)."""
-    header, samples = load_samples(dataset_path)
+    """Re-runs steps 1+3 over a saved dataset (a journal's verified
+    prefix); returns (module, postmortem, report)."""
+    header, samples, _scan = read_dataset(dataset_path)
+    return analyze_samples(
+        header, samples, source, source_name, include_temps, min_blame
+    )
+
+
+def analyze_samples(
+    header,
+    samples,
+    source: str,
+    source_name: str = "program.chpl",
+    include_temps: bool = False,
+    min_blame: float = 0.0,
+):
+    """Steps 1+3 over a loaded dataset; returns (module, postmortem,
+    report)."""
     digest = source_digest(source)
     if digest != header.source_sha256:
         raise DatasetMismatch(
-            f"dataset {dataset_path} was recorded from source "
+            f"dataset of {header.program} was recorded from source "
             f"{header.source_sha256[:12]}…, but the given source hashes "
             f"to {digest[:12]}…"
         )
@@ -59,7 +81,7 @@ def analyze_dataset(
     stats = RunStats(
         total_raw_samples=len(samples),
         user_samples=pm.n_user,
-        runtime_samples=len(pm.runtime_samples),
+        runtime_samples=pm.n_runtime,
     )
     report = BlameReport(
         program=header.program,
@@ -80,11 +102,22 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--view", choices=["data", "code", "hybrid", "all"], default="data")
     ap.add_argument("--top", type=int, default=20)
     args = ap.parse_args(argv)
+    if args.top < 1:
+        ap.error(f"--top must be >= 1 (got {args.top})")
 
-    with open(args.source) as f:
-        source = f.read()
     try:
-        module, pm, report = analyze_dataset(args.dataset, source, args.source)
+        with open(args.source) as f:
+            source = f.read()
+        header, samples, scan = read_dataset(args.dataset)
+    except OSError as exc:
+        print(f"repro-analyze: {exc}", file=sys.stderr)
+        return 2
+    except (DatasetCorruptError, ValueError) as exc:
+        # A damaged header (or v1 line) leaves nothing to trust.
+        print(f"repro-analyze: {args.dataset}: {exc}", file=sys.stderr)
+        return 1
+    try:
+        module, pm, report = analyze_samples(header, samples, source, args.source)
     except DatasetMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -98,6 +131,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.view in ("hybrid", "all"):
         print(render_hybrid(report))
         print()
+    if scan is not None:
+        print(
+            f"[{scan.n_good} journal records verified, "
+            f"{scan.n_corrupt} records lost to a torn tail]"
+        )
     print(f"[{pm.n_raw} samples loaded, {pm.n_user} attributed]")
     return 0
 

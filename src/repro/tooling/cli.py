@@ -2,8 +2,9 @@
 
 Usage::
 
-    repro-profile profile program.chpl [-o run.cbp] [--streaming]
+    repro-profile profile program.chpl [-o run.cbp] [--batch-size N]
         [--adaptive [--confidence C] [--ci-width W]]
+        [--save-samples PATH [--journal]]
         [--threads N] [--threshold P] [--fast] [--view data|code|hybrid|all]
         [--config name=value ...]
     repro-profile view run.cbp [--view data|code|hybrid|all] [--html PATH]
@@ -12,8 +13,11 @@ Usage::
     repro-profile advise program.chpl [--profile] [--json]
     repro-profile --version
 
-``profile`` runs a program once, serially in one process, and can
-persist everything the presentation layer needs as a versioned
+``profile`` runs a program once, serially in one process, streaming
+its samples into post-mortem in batches of ``--batch-size`` as they
+are collected (``--save-samples --journal`` appends each batch to the
+journal the same way, so a killed run leaves its verified prefix), and
+can persist everything the presentation layer needs as a versioned
 ``.cbp`` artifact; ``view``
 re-renders any window from such an artifact — byte-identical to the
 live render — without re-running anything; ``merge`` combines
@@ -186,15 +190,16 @@ def profile_main(argv: list[str]) -> int:
     ap.add_argument(
         "--streaming",
         action="store_true",
-        help="bounded-memory collection: post-mortem consumes sample "
-        "batches as they fill instead of the whole run at once",
+        help="accepted for compatibility: post-mortem always consumes "
+        "sample batches as they fill (streaming is the default)",
     )
     ap.add_argument(
         "--batch-size",
         type=int,
         default=256,
         metavar="N",
-        help="samples per batch with --streaming (peak resident bound)",
+        help="samples per batch handed to post-mortem (bounds how many "
+        "are resident)",
     )
     ap.add_argument(
         "--save-samples",
@@ -211,7 +216,8 @@ def profile_main(argv: list[str]) -> int:
         "--journal",
         action="store_true",
         help="with --save-samples: write the checksummed journal format "
-        "(per-record CRC, resumable after a torn write)",
+        "(per-record CRC, appended while the program runs, so a killed "
+        "run leaves its verified prefix)",
     )
     ap.add_argument(
         "--inject-faults",
@@ -271,8 +277,6 @@ def profile_main(argv: list[str]) -> int:
     _check_top(ap, args)
     if args.batch_size < 1:
         ap.error(f"--batch-size must be >= 1 (got {args.batch_size})")
-    if args.streaming and args.save_samples:
-        ap.error("--save-samples needs the retained stream (drop --streaming)")
     if args.fast and args.save_samples:
         ap.error("--save-samples needs the unoptimized compile that "
                  "repro-analyze rebuilds (drop --fast)")
@@ -280,10 +284,6 @@ def profile_main(argv: list[str]) -> int:
         ap.error(f"--confidence must be in (0, 1) exclusive (got {args.confidence})")
     if not 0.0 < args.ci_width < 1.0:
         ap.error(f"--ci-width must be in (0, 1) exclusive (got {args.ci_width})")
-    if args.adaptive and args.streaming:
-        ap.error("--adaptive already streams in rounds (drop --streaming)")
-    if args.adaptive and args.save_samples:
-        ap.error("--save-samples needs the full stream (drop --adaptive)")
     if args.stability_window < 1:
         ap.error(f"--stability-window must be >= 1 (got {args.stability_window})")
     if args.round_samples < 1:
@@ -325,12 +325,7 @@ def profile_main(argv: list[str]) -> int:
             stability_window=args.stability_window,
             round_samples=args.round_samples,
         )
-    result = profiler.profile(
-        streaming=args.streaming,
-        batch_size=args.batch_size,
-        adaptive=adaptive,
-    )
-
+    journal = saved = tap = None
     if args.save_samples:
         from ..sampling.dataset import (
             DatasetHeader,
@@ -346,12 +341,23 @@ def profile_main(argv: list[str]) -> int:
             num_threads=args.threads,
         )
         if args.journal:
-            with DatasetJournal(args.save_samples, header) as journal:
-                journal.extend(result.monitor.samples)
-            print(f"[journaled samples saved to {args.save_samples}]")
+            journal = DatasetJournal(args.save_samples, header)
+            tap = journal.extend
         else:
-            save_samples(args.save_samples, header, result.monitor.samples)
-            print(f"[raw samples saved to {args.save_samples}]")
+            saved = []
+            tap = saved.extend
+    try:
+        result = profiler.profile(
+            batch_size=args.batch_size, adaptive=adaptive, tap=tap
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    if journal is not None:
+        print(f"[journaled samples saved to {args.save_samples}]")
+    elif saved is not None:
+        save_samples(args.save_samples, header, saved)
+        print(f"[raw samples saved to {args.save_samples}]")
 
     if args.output:
         from ..artifact import write_artifact

@@ -6,17 +6,13 @@
 4. data presentation → :class:`~repro.blame.report.BlameReport` (+ views)
 
 The stages themselves live in :mod:`repro.pipeline.stages`;
-:class:`Profiler` is the driver that wires them together, in one of two
-ways:
-
-* ``profile()`` — the historical materialized run: collect the whole
-  sample stream, then consolidate it;
-* ``profile(streaming=True)`` — bounded-memory run: the monitor sinks
-  sample batches straight into a
-  :class:`~repro.blame.postmortem.PostmortemConsumer` (through the
-  fault injector's streaming degrader when faults are enabled), so at
-  no point is the full ``list[RawSample]`` resident.  Same report,
-  bounded peak memory.
+:class:`Profiler` is the one driver that wires them together.  Steps 2
+and 3 overlap: the monitor's sink is the only way samples move, and it
+feeds each batch (through the fault injector's degrader when faults
+are on) to a :class:`~repro.blame.postmortem.PostmortemConsumer`, or to
+an :class:`~repro.sampling.adaptive.AdaptiveController` that may stop
+the run early.  At no point is the full ``list[RawSample]`` resident.
+An optional ``tap`` sees every raw batch first.
 
 Typical use::
 
@@ -42,7 +38,6 @@ from ..pipeline.stages import (
     attribute_stage,
     collect_stage,
     compile_stage,
-    postmortem_stage,
 )
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
@@ -145,103 +140,90 @@ class Profiler:
 
     def profile(
         self,
-        streaming: bool = False,
         batch_size: int = 256,
-        evidence_window: int | None = None,
         adaptive: "object | None" = None,
+        tap=None,
     ) -> ProfileResult:
-        """Runs the pipeline end to end.
+        """Runs the pipeline end to end, streaming.
 
-        ``streaming=True`` switches collection and post-mortem to the
-        bounded-memory path: samples flow to the consumer in batches of
-        ``batch_size`` (the monitor's ``peak_resident`` never exceeds
-        it) and idle samples are counted, not kept.  ``evidence_window``
-        additionally bounds the held-back degraded-sample buffer (see
-        :class:`~repro.blame.postmortem.PostmortemConsumer`).  On a
-        clean run both paths produce identical reports.
+        The monitor hands sample batches of ``batch_size`` to one sink
+        as they fill, so at most that many samples are resident.  The
+        sink first passes each raw batch to ``tap`` (when given), then
+        through the fault injector's degrader (when faults are on) into
+        a tolerant :class:`~repro.blame.postmortem.PostmortemConsumer`,
+        which counts idle samples without keeping them.  ``tap`` is how
+        ``--save-samples`` journals records while the program runs, and
+        how in-process callers that need the raw stream collect it::
+
+            samples = []
+            result = profiler.profile(tap=samples.extend)
 
         ``adaptive`` (an
         :class:`~repro.sampling.adaptive.AdaptiveConfig`, or ``True``
-        for the defaults) switches to confidence-driven collection:
-        streaming rounds with incremental attribution, stopping early
+        for the defaults) feeds the batches to an
+        :class:`~repro.sampling.adaptive.AdaptiveController` instead, in
+        rounds of ``round_samples`` (which replaces ``batch_size``): it
+        attributes each round incrementally and stops the run early
         once the blame ranking is statistically settled — see
         :mod:`repro.sampling.adaptive`.  Composes with fault injection
         (degraded telemetry widens the intervals, delaying the stop).
         """
-        if adaptive is not None and streaming:
-            raise ValueError(
-                "adaptive mode already streams in rounds; drop streaming=True"
-            )
         # Step 1 — static analysis.
         static_info = analyze_stage(self.module, options=self.blame_options)
         injector = self._injector()
-
+        degrade = injector.degrader() if injector is not None else None
+        consumer = PostmortemConsumer(
+            self.module, options=static_info.options, tolerant=True
+        )
+        controller = None
         if adaptive is not None:
-            from ..sampling.adaptive import AdaptiveConfig
+            from ..sampling.adaptive import AdaptiveConfig, AdaptiveController
 
             if adaptive is True:
                 adaptive = AdaptiveConfig()
-            return self._profile_adaptive(static_info, injector, adaptive)
-
-        if streaming:
-            consumer = PostmortemConsumer(
-                self.module,
-                options=static_info.options,
-                tolerant=True,
-                evidence_window=evidence_window,
-                keep_runtime_samples=False,
+            controller = AdaptiveController(
+                adaptive,
+                static_info,
+                consumer,
+                degrade=degrade,
+                program=self.program_name,
+                include_temps=self.include_temps,
             )
-            degrade = injector.degrader() if injector is not None else None
-            pm_clock = [0.0]
-
-            def sink(batch):
-                t0 = time.perf_counter()
+            feed = controller.sink
+            batch_size = adaptive.round_samples
+        else:
+            def feed(batch):
                 consumer.feed(degrade(batch) if degrade is not None else batch)
-                pm_clock[0] += time.perf_counter() - t0
+        pm_seconds = 0.0
 
-            # Step 2 — execution, sinking batches as they fill (step 3
-            # runs incrementally inside the sink).
-            coll = collect_stage(
-                self.module,
-                config=self.config,
-                num_threads=self.num_threads,
-                threshold=self.threshold,
-                skid=self.skid,
-                skid_compensation=self.skid_compensation,
-                sink=sink,
-                batch_size=batch_size,
-            )
+        def sink(batch):
+            nonlocal pm_seconds
+            if tap is not None:
+                tap(batch)
             t0 = time.perf_counter()
+            try:
+                feed(batch)
+            finally:
+                pm_seconds += time.perf_counter() - t0
+
+        # Step 2 — execution; step 3 runs inside the sink as batches fill.
+        coll = collect_stage(
+            self.module,
+            config=self.config,
+            num_threads=self.num_threads,
+            threshold=self.threshold,
+            skid=self.skid,
+            skid_compensation=self.skid_compensation,
+            sink=sink,
+            batch_size=batch_size,
+        )
+        t0 = time.perf_counter()
+        if controller is not None:
+            pm, attribution = controller.finish()
+        else:
             pm = consumer.finish()
             attribution = attribute_stage(static_info, pm)
-            postmortem_seconds = pm_clock[0] + time.perf_counter() - t0
-        else:
-            # Step 2 — execution under the monitor, stream retained.
-            coll = collect_stage(
-                self.module,
-                config=self.config,
-                num_threads=self.num_threads,
-                threshold=self.threshold,
-                skid=self.skid,
-                skid_compensation=self.skid_compensation,
-            )
-
-            # Optional fault injection between steps 2 and 3: the
-            # monitor's stream stays pristine; post-mortem sees the
-            # degraded copy.
-            samples = coll.monitor.samples
-            if injector is not None:
-                samples = injector.degrade_samples(samples)
-
-            # Step 3 — post-mortem processing (tolerant: degraded
-            # telemetry is bucketed/quarantined, never raised; a no-op
-            # when clean).
-            t0 = time.perf_counter()
-            pm = postmortem_stage(
-                self.module, samples, options=static_info.options, tolerant=True
-            )
-            attribution = attribute_stage(static_info, pm)
-            postmortem_seconds = time.perf_counter() - t0
+        pm_seconds += time.perf_counter() - t0
 
         # Step 4 — report assembly.
         monitor = coll.monitor
@@ -252,7 +234,7 @@ class Profiler:
             wall_seconds=coll.run_result.wall_seconds,
             dataset_bytes=monitor.dataset_size_bytes(),
             stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
-            postmortem_seconds=postmortem_seconds,
+            postmortem_seconds=pm_seconds,
             monitor_quarantine=monitor.quarantine_by_reason(),
             min_blame=self.min_blame,
             include_temps=self.include_temps,
@@ -267,84 +249,7 @@ class Profiler:
             report=report,
             interpreter=coll.interpreter,
             fault_stats=injector.stats if injector is not None else None,
-        )
-
-    def _profile_adaptive(self, static_info, injector, config) -> ProfileResult:
-        """Confidence-driven collection: the monitor sinks rounds into
-        an :class:`~repro.sampling.adaptive.AdaptiveController`, which
-        feeds the streaming consumer, attributes each round's delta, and
-        raises :class:`~repro.sampling.adaptive.StopSampling` out of the
-        interpreter once the ranking is statistically settled.  The
-        samples after the stopping point are never generated at all —
-        that is the wall-clock saving."""
-        from ..sampling.adaptive import AdaptiveController, StopSampling
-        from ..sampling.pmu import PMUConfig
-
-        consumer = PostmortemConsumer(
-            self.module,
-            options=static_info.options,
-            tolerant=True,
-            keep_runtime_samples=False,
-        )
-        degrade = injector.degrader() if injector is not None else None
-        controller = AdaptiveController(
-            config,
-            static_info,
-            consumer,
-            degrade=degrade,
-            program=self.program_name,
-            include_temps=self.include_temps,
-        )
-        monitor = Monitor(
-            PMUConfig(threshold=self.threshold),
-            sink=controller.sink,
-            batch_size=config.round_samples,
-        )
-        controller.bind_monitor(monitor)
-        interp = Interpreter(
-            self.module,
-            config=self.config,
-            num_threads=self.num_threads,
-            monitor=monitor,
-            sample_threshold=self.threshold,
-            skid=self.skid,
-            skid_compensation=self.skid_compensation,
-        )
-        try:
-            run_result = interp.run()
-        except StopSampling:
-            # The event loop unwound mid-run; the scheduler clocks
-            # reflect exactly the truncated execution.
-            run_result = interp.build_run_result()
-        controller.close()
-        monitor.flush()  # final partial round (recorded, never raises)
-        t0 = time.perf_counter()
-        pm, attribution = controller.finish()
-        postmortem_seconds = time.perf_counter() - t0
-
-        report = aggregate_stage(
-            self.program_name,
-            pm,
-            attribution,
-            wall_seconds=run_result.wall_seconds,
-            dataset_bytes=monitor.dataset_size_bytes(),
-            stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
-            postmortem_seconds=postmortem_seconds,
-            monitor_quarantine=monitor.quarantine_by_reason(),
-            min_blame=self.min_blame,
-            include_temps=self.include_temps,
-        )
-        return ProfileResult(
-            module=self.module,
-            static_info=static_info,
-            monitor=monitor,
-            run_result=run_result,
-            postmortem=pm,
-            attribution=attribution,
-            report=report,
-            interpreter=interp,
-            fault_stats=injector.stats if injector is not None else None,
-            adaptive=controller.trail,
+            adaptive=controller.trail if controller is not None else None,
         )
 
 

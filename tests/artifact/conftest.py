@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tooling.profiler import Profiler
+from repro.pipeline import (
+    aggregate_stage,
+    analyze_stage,
+    attribute_stage,
+    collect_stage,
+    compile_stage,
+    postmortem_stage,
+)
+from repro.tooling.profiler import ProfileResult, Profiler
 
 #: Small-but-representative configs for the paper's three benchmarks.
 BENCHMARKS = ("minimd", "clomp", "lulesh")
@@ -65,6 +73,54 @@ def profile_benchmark(name: str, faults: str | None = None, **profile_kwargs):
             threshold=THRESHOLD,
             faults=faults,
         ).profile(**profile_kwargs)
+    return _CACHE[key]
+
+
+def materialized_benchmark(name: str, faults: str | None = None):
+    """The reference the streaming driver is tested against:
+    ``collect_stage`` without a sink (the monitor retains the stream),
+    the whole stream degraded at once, then ``postmortem_stage``,
+    ``attribute_stage`` and ``aggregate_stage`` (cached like
+    :func:`profile_benchmark`)."""
+    key = ("materialized", name, faults)
+    if key not in _CACHE:
+        source, filename, config = benchmark_setup(name)
+        module = compile_stage(source, filename)
+        static = analyze_stage(module)
+        coll = collect_stage(
+            module, config=config, num_threads=NUM_THREADS, threshold=THRESHOLD
+        )
+        monitor = coll.monitor
+        samples = monitor.samples
+        injector = None
+        if faults:
+            from repro.resilience.faults import FaultPlan
+            from repro.resilience.inject import FaultInjector
+
+            injector = FaultInjector(FaultPlan.parse(faults), module=module)
+            samples = injector.degrade_samples(samples)
+        pm = postmortem_stage(module, samples, options=static.options)
+        attribution = attribute_stage(static, pm)
+        report = aggregate_stage(
+            filename,
+            pm,
+            attribution,
+            wall_seconds=coll.run_result.wall_seconds,
+            dataset_bytes=monitor.dataset_size_bytes(),
+            stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
+            monitor_quarantine=monitor.quarantine_by_reason(),
+        )
+        _CACHE[key] = ProfileResult(
+            module=module,
+            static_info=static,
+            monitor=monitor,
+            run_result=coll.run_result,
+            postmortem=pm,
+            attribution=attribution,
+            report=report,
+            interpreter=coll.interpreter,
+            fault_stats=injector.stats if injector is not None else None,
+        )
     return _CACHE[key]
 
 

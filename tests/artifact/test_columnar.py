@@ -29,7 +29,7 @@ from repro.sampling.dataset import (
 )
 from repro.tooling.cli import main as cli_main
 
-from .conftest import FAULT_SPEC, profile_benchmark
+from .conftest import FAULT_SPEC, materialized_benchmark, profile_benchmark
 
 FAULTS = (None, FAULT_SPEC)
 
@@ -122,7 +122,7 @@ class TestFraming:
             check_line(line.decode())
 
     def test_every_journal_and_sealed_record_checks(self, benchmark_name, tmp_path):
-        monitor = profile_benchmark(benchmark_name).monitor
+        monitor = materialized_benchmark(benchmark_name).monitor
         sealed = monitor.sealed_stream().splitlines()
         assert sealed
         for line in sealed:

@@ -1,9 +1,9 @@
 """Streaming collection + post-mortem: bounded memory, identical output.
 
-The acceptance bar: with ``streaming=True`` the monitor never holds
-more than ``batch_size`` samples resident, and on the same program the
-resulting report (and every view) is exactly what the materialized
-pipeline produces — clean or degraded."""
+The acceptance bar: a ``Profiler`` run never holds more than
+``batch_size`` samples resident in the monitor, and on the same program
+the resulting report (and every view) is exactly what the materialized
+reference composition produces — clean or degraded."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.pipeline import render_stage
 from repro.resilience.faults import FaultPlan
 from repro.resilience.inject import FaultInjector
 
-from .conftest import FAULT_SPEC, profile_benchmark
+from .conftest import FAULT_SPEC, materialized_benchmark, profile_benchmark
 
 BATCH = 32
 
@@ -28,25 +28,23 @@ def report_key(result):
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("view", ["data", "code", "hybrid", "html"])
     def test_views_identical_clean(self, benchmark_name, view):
-        retained = profile_benchmark(benchmark_name)
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
+        retained = materialized_benchmark(benchmark_name)
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
         assert render_stage(streamed, view) == render_stage(retained, view)
 
     def test_views_identical_degraded(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name, faults=FAULT_SPEC)
+        retained = materialized_benchmark(benchmark_name, faults=FAULT_SPEC)
         streamed = profile_benchmark(
-            benchmark_name, faults=FAULT_SPEC, streaming=True, batch_size=BATCH
+            benchmark_name, faults=FAULT_SPEC, batch_size=BATCH
         )
         for view in ("data", "code", "hybrid", "html"):
             assert render_stage(streamed, view) == render_stage(retained, view)
         assert report_key(streamed) == report_key(retained)
 
     def test_degraded_accounting_identical(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name, faults=FAULT_SPEC)
+        retained = materialized_benchmark(benchmark_name, faults=FAULT_SPEC)
         streamed = profile_benchmark(
-            benchmark_name, faults=FAULT_SPEC, streaming=True, batch_size=BATCH
+            benchmark_name, faults=FAULT_SPEC, batch_size=BATCH
         )
         # postmortem_seconds is host-measured wall time, the one
         # legitimately nondeterministic stat.
@@ -64,25 +62,20 @@ class TestStreamingEquivalence:
 
 class TestBoundedMemory:
     def test_peak_resident_bounded_by_batch_size(self, benchmark_name):
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
         monitor = streamed.monitor
         assert monitor.n_accepted > BATCH  # the bound was actually exercised
         assert 0 < monitor.peak_resident <= BATCH
 
     def test_sink_mode_retains_nothing(self, benchmark_name):
-        streamed = profile_benchmark(
-            benchmark_name, streaming=True, batch_size=BATCH
-        )
+        streamed = profile_benchmark(benchmark_name, batch_size=BATCH)
         assert streamed.monitor.samples == []
-        assert streamed.postmortem.runtime_samples == []
         # ...but the counts still tell the whole story.
         assert streamed.postmortem.n_runtime > 0
         assert streamed.monitor.dataset_size_bytes() > 0
 
     def test_retain_mode_counters_match_list(self, benchmark_name):
-        retained = profile_benchmark(benchmark_name)
+        retained = materialized_benchmark(benchmark_name)
         monitor = retained.monitor
         assert monitor.n_accepted == len(monitor.samples)
         assert monitor.peak_resident == 0  # never tracked without a sink
@@ -93,7 +86,7 @@ class TestBoundedMemory:
 
 class TestConsumerContract:
     def samples_of(self, name):
-        return list(profile_benchmark(name).monitor.samples)
+        return list(materialized_benchmark(name).monitor.samples)
 
     def test_chunked_feed_equals_one_shot(self):
         result = profile_benchmark("minimd")
@@ -156,8 +149,8 @@ class TestConsumerContract:
 
 class TestStreamingDegrader:
     def test_chunking_invariant(self):
-        samples = list(profile_benchmark("minimd").monitor.samples)
-        module = profile_benchmark("minimd").module
+        samples = list(materialized_benchmark("minimd").monitor.samples)
+        module = materialized_benchmark("minimd").module
         plan = FaultPlan.parse(FAULT_SPEC)
         whole = FaultInjector(plan, module=module).degrade_samples(samples)
         for chunk in (1, 5, 64):
@@ -168,6 +161,6 @@ class TestStreamingDegrader:
             assert piecewise == whole, f"chunk={chunk}"
 
     def test_clean_plan_degrader_is_identity(self):
-        samples = list(profile_benchmark("minimd").monitor.samples)
+        samples = list(materialized_benchmark("minimd").monitor.samples)
         degrade = FaultInjector(FaultPlan()).degrader()
         assert degrade(samples) == samples

@@ -8,7 +8,7 @@ from repro.baselines.pprof import build_pprof_profile, render_pprof
 
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import profile_src
+from conftest import sample_src
 
 PAR = """
 var A: [0..49] real;
@@ -21,27 +21,31 @@ proc main() { kernel(); }
 
 class TestPprof:
     @pytest.fixture(scope="class")
-    def res(self):
-        return profile_src(PAR, threshold=211, num_threads=12)
+    def run(self):
+        return sample_src(PAR, threshold=211, num_threads=12)
 
-    def test_shows_raw_outlined_names(self, res):
+    def test_shows_raw_outlined_names(self, run):
         """The pprof baseline does NOT glue stacks: compiler-generated
         forall_fn frames appear verbatim — the paper's Fig. 4 confusion."""
-        rows = build_pprof_profile(res.monitor.samples)
+        _, samples = run
+        rows = build_pprof_profile(samples)
         names = {r.function for r in rows}
         assert any(n.startswith("forall_fn_chpl") for n in names)
 
-    def test_sched_yield_present_with_many_threads(self, res):
-        rows = build_pprof_profile(res.monitor.samples)
+    def test_sched_yield_present_with_many_threads(self, run):
+        _, samples = run
+        rows = build_pprof_profile(samples)
         names = {r.function for r in rows}
         assert "__sched_yield" in names
 
-    def test_flat_totals_match_sample_count(self, res):
-        rows = build_pprof_profile(res.monitor.samples)
+    def test_flat_totals_match_sample_count(self, run):
+        res, samples = run
+        rows = build_pprof_profile(samples)
         assert sum(r.flat for r in rows) == res.monitor.n_samples
 
-    def test_render_format(self, res):
-        out = render_pprof(res.monitor.samples, binary_name="lulesh")
+    def test_render_format(self, run):
+        _, samples = run
+        out = render_pprof(samples, binary_name="lulesh")
         lines = out.splitlines()
         assert lines[0] == "Using local file ./lulesh."
         assert lines[2].startswith("Total:")
@@ -49,8 +53,9 @@ class TestPprof:
         parts = lines[3].split()
         assert parts[1].endswith("%") and parts[2].endswith("%")
 
-    def test_sorted_by_flat(self, res):
-        rows = build_pprof_profile(res.monitor.samples)
+    def test_sorted_by_flat(self, run):
+        _, samples = run
+        rows = build_pprof_profile(samples)
         flats = [r.flat for r in rows]
         assert flats == sorted(flats, reverse=True)
 
@@ -66,9 +71,9 @@ proc main() {
   }
 }
 """
-        res = profile_src(src, threshold=499)
+        res, samples = sample_src(src, threshold=499)
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
+        out = att.attribute(samples)
         assert out.fraction_of("BIG") > 0.1
         assert out.unknown_fraction < 0.9
 
@@ -82,9 +87,9 @@ proc main() {
   }
 }
 """
-        res = profile_src(src, threshold=499)
+        res, samples = sample_src(src, threshold=499)
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
+        out = att.attribute(samples)
         assert out.fraction_of("SMALL") == 0.0
         assert out.unknown_fraction == 1.0
 
@@ -96,9 +101,9 @@ proc main() {
   writeln(acc);
 }
 """
-        res = profile_src(src, threshold=211)
+        res, samples = sample_src(src, threshold=211)
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
+        out = att.attribute(samples)
         assert out.unknown_fraction == 1.0
 
     def test_class_field_chains_unknown(self):
@@ -122,9 +127,9 @@ proc main() {
   }
 }
 """
-        res = profile_src(src, threshold=499)
+        res, samples = sample_src(src, threshold=499)
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
+        out = att.attribute(samples)
         # partArray itself is 512*8 = 4KB — borderline; the zone chains
         # must be unknown regardless.
         assert out.unknown_fraction > 0.9

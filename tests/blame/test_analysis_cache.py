@@ -59,13 +59,14 @@ class TestCachedResultsMatchFresh:
         kwargs = dict(
             filename="cache_prof.chpl", num_threads=4, threshold=997
         )
-        r1 = Profiler(SRC, **kwargs).profile()
-        r2 = Profiler(SRC, **kwargs).profile()
+        samples1, samples2 = [], []
+        r1 = Profiler(SRC, **kwargs).profile(tap=samples1.extend)
+        r2 = Profiler(SRC, **kwargs).profile(tap=samples2.extend)
         assert r2.module is r1.module  # compile cache shares the module
         assert r2.static_info is not r1.static_info  # analyzed afresh
         assert r1.run_result.output == r2.run_result.output
-        s1 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in r1.monitor.samples]
-        s2 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in r2.monitor.samples]
+        s1 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in samples1]
+        s2 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in samples2]
         assert s1 == s2
         rows1 = [(r.context, r.name, r.samples) for r in r1.report.rows]
         rows2 = [(r.context, r.name, r.samples) for r in r2.report.rows]

@@ -75,14 +75,15 @@ class ForgetfulConsumer(PostmortemConsumer):
 @pytest.fixture(scope="module", params=sorted(PROGRAMS))
 def clean_run(request):
     source, config = PROGRAMS[request.param]
+    samples = []
     res = Profiler(
         source,
         filename=f"{request.param}.chpl",
         config=config,
         num_threads=4,
         threshold=499,
-    ).profile()
-    return res.module, res.static_info.options, res.monitor.samples
+    ).profile(tap=samples.extend)
+    return res.module, res.static_info.options, samples
 
 
 def consume(cls, module, options, samples, feed):
@@ -99,7 +100,6 @@ def outcome(pm):
         pm.instances,
         pm.unknown,
         pm.quarantined,
-        pm.runtime_samples,
         pm.n_runtime,
         pm.n_recovered,
         pm.n_raw,

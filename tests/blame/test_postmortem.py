@@ -7,7 +7,7 @@ from repro.sampling.records import RawSample
 
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import compile_src, profile_src
+from conftest import compile_src, profile_src, sample_src
 
 PAR = """
 var A: [0..49] real;
@@ -65,10 +65,10 @@ proc main() {
 
 class TestTrimming:
     def test_idle_samples_become_runtime(self):
-        res = profile_src(PAR, threshold=211, num_threads=12)
+        res, samples = sample_src(PAR, threshold=211, num_threads=12)
         pm = res.postmortem
-        assert pm.n_raw == len(pm.instances) + len(pm.runtime_samples)
-        assert all(s.is_idle for s in pm.runtime_samples)
+        assert pm.n_raw == len(pm.instances) + pm.n_runtime
+        assert pm.n_runtime == sum(s.is_idle for s in samples)
 
     def test_synthetic_frames_removed_from_instances(self):
         res = profile_src(PAR, threshold=211, num_threads=12)
@@ -102,7 +102,7 @@ class TestSyntheticRecords:
             is_idle=True,
         )
         pm = process_samples(m, [s])
-        assert pm.n_user == 0 and len(pm.runtime_samples) == 1
+        assert pm.n_user == 0 and pm.n_runtime == 1
 
     def test_unknown_function_sample_is_runtime(self):
         m = compile_src("proc main() { }")
@@ -116,4 +116,4 @@ class TestSyntheticRecords:
             pre_spawn_stack=None,
         )
         pm = process_samples(m, [s])
-        assert pm.n_user == 0 and len(pm.runtime_samples) == 1
+        assert pm.n_user == 0 and pm.n_runtime == 1

@@ -38,6 +38,7 @@ def profile_src(
     num_threads: int = 4,
     threshold: int = 997,
     filename: str = "test.chpl",
+    tap=None,
 ) -> ProfileResult:
     return Profiler(
         source,
@@ -45,7 +46,14 @@ def profile_src(
         config=config,
         num_threads=num_threads,
         threshold=threshold,
-    ).profile()
+    ).profile(tap=tap)
+
+
+def sample_src(source: str, **kwargs) -> tuple[ProfileResult, list]:
+    """``profile_src`` plus the run's raw sample stream, collected
+    through the profiler's tap: (result, samples)."""
+    samples: list = []
+    return profile_src(source, tap=samples.extend, **kwargs), samples
 
 
 @pytest.fixture

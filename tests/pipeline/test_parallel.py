@@ -48,7 +48,7 @@ from .conftest import (
 _FIRST: dict = {}
 
 
-def profile(name: str, faults: str | None = None, **kwargs):
+def profile(name: str, faults: str | None = None, tap=None, **kwargs):
     source, filename, config = benchmark_setup(name)
     return Profiler(
         source,
@@ -58,13 +58,15 @@ def profile(name: str, faults: str | None = None, **kwargs):
         threshold=THRESHOLD,
         faults=faults,
         **kwargs,
-    ).profile()
+    ).profile(tap=tap)
 
 
 def first_run(name: str, faults: str | None = None):
+    """(result, raw samples) of the first run of a configuration."""
     key = (name, faults)
     if key not in _FIRST:
-        _FIRST[key] = profile(name, faults)
+        samples = []
+        _FIRST[key] = profile(name, faults, tap=samples.extend), samples
     return _FIRST[key]
 
 
@@ -120,13 +122,12 @@ class TestCrossRunByteIdentity:
         ],
     )
     def test_artifact_and_views(self, name, faults, runs):
-        first = first_run(name, faults)
+        first, first_samples = first_run(name, faults)
         ref = snapshot_from_result(first, canonical_timings=True)
         for _ in range(runs - 1):
-            again = profile(name, faults)
-            assert (
-                again.monitor.sealed_stream() == first.monitor.sealed_stream()
-            )
+            samples = []
+            again = profile(name, faults, tap=samples.extend)
+            assert samples == first_samples
             snap = snapshot_from_result(again, canonical_timings=True)
             assert artifact_bytes(snap) == artifact_bytes(ref)
             for view in VIEWS:

@@ -1,8 +1,8 @@
 """Property tests (hypothesis): *any* contiguous split of the sample
 stream, consumed part by part with per-part attributions merged,
 equals the one-shot post-mortem — clean and under FaultInjector
-degradation, arbitrary uneven splits — and a streaming ``Profiler`` run
-cut into 1–8 batches reports exactly what the retained run reports."""
+degradation, arbitrary uneven splits — and a ``Profiler`` run cut into
+1–8 batches reports exactly what the materialized reference reports."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import attribute_stage, postmortem_stage
+from repro.pipeline import aggregate_stage, attribute_stage, postmortem_stage
 from repro.tooling.profiler import Profiler
 
 from .conftest import (
@@ -55,7 +55,19 @@ def test_any_contiguous_split_merges_to_the_serial_result(faults, fractions):
     assert attribution == serial_attr
 
 
-_RETAINED: dict = {}
+_REFERENCE: dict = {}
+
+
+def reference_report(faults):
+    """``aggregate_stage`` over the one-shot post-mortem of the same
+    (degraded) stream: the materialized reference composition."""
+    if faults not in _REFERENCE:
+        _, _, _, wall = collected("minimd", faults)
+        pm, attribution = serial_baseline(faults)
+        _REFERENCE[faults] = aggregate_stage(
+            "minimd.chpl", pm, attribution, wall_seconds=wall
+        )
+    return _REFERENCE[faults]
 
 
 def profiler(faults):
@@ -77,17 +89,14 @@ def profiler(faults):
 )
 def test_shard_counts_one_to_eight(shards, faults):
     """The full streaming pipeline with the stream cut into every batch
-    count from one to eight, against the one retained-stream run."""
-    if faults not in _RETAINED:
-        _RETAINED[faults] = profiler(faults).profile()
-    retained = _RETAINED[faults]
-    batch = math.ceil(retained.monitor.n_samples / shards)
-    streamed = profiler(faults).profile(streaming=True, batch_size=batch)
-    assert streamed.monitor.n_samples == retained.monitor.n_samples
-    assert streamed.report.rows == retained.report.rows
-    assert streamed.report.unknown_by_reason == retained.report.unknown_by_reason
-    assert (
-        streamed.report.quarantine_by_reason
-        == retained.report.quarantine_by_reason
-    )
-    assert streamed.attribution == retained.attribution
+    count from one to eight, against the materialized reference."""
+    # Every run collects the clean stream; degradation comes after.
+    n_collected = len(collected("minimd")[2])
+    batch = math.ceil(n_collected / shards)
+    streamed = profiler(faults).profile(batch_size=batch)
+    report = reference_report(faults)
+    assert streamed.monitor.n_samples == n_collected
+    assert streamed.report.rows == report.rows
+    assert streamed.report.unknown_by_reason == report.unknown_by_reason
+    assert streamed.report.quarantine_by_reason == report.quarantine_by_reason
+    assert streamed.attribution == serial_baseline(faults)[1]

@@ -13,7 +13,7 @@ from repro.resilience.faults import FAULT_CLASSES, FaultPlan
 from repro.tooling.profiler import Profiler
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import profile_src
+from conftest import profile_src, sample_src
 
 PAR = """
 var A: [0..199] real;
@@ -30,13 +30,13 @@ proc main() { kernel(); other(); }
 
 class TestZeroCostCleanPath:
     def test_tolerant_is_bit_identical_on_clean_stream(self):
-        res = profile_src(PAR, threshold=211)
+        res, samples = sample_src(PAR, threshold=211)
         strict = process_samples(
-            res.module, res.monitor.samples,
+            res.module, samples,
             options=res.static_info.options, tolerant=False,
         )
         tolerant = process_samples(
-            res.module, res.monitor.samples,
+            res.module, samples,
             options=res.static_info.options, tolerant=True,
         )
         assert strict.instances == tolerant.instances

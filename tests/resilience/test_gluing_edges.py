@@ -19,7 +19,7 @@ from repro.blame.postmortem import (
 from repro.sampling.records import RawSample
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import profile_src
+from conftest import sample_src
 
 SRC = """
 var A: [0..99] real;
@@ -36,8 +36,8 @@ proc main() { kernel(); other(); }
 
 def _run():
     """One clean profile; returns (module, options, busy raw samples)."""
-    res = profile_src(SRC, threshold=211)
-    busy = [s for s in res.monitor.samples if not s.is_idle]
+    res, samples = sample_src(SRC, threshold=211)
+    busy = [s for s in samples if not s.is_idle]
     return res.module, res.static_info.options, busy
 
 
@@ -145,8 +145,7 @@ class TestIdleAndDuplicateTags:
         pm = process_samples(
             module, idle + busy + [degraded], options=options, tolerant=True
         )
-        assert len(pm.runtime_samples) == len(idle)
-        assert all(s.is_idle for s in pm.runtime_samples)
+        assert pm.n_runtime == len(idle)
         assert not pm.quarantined
 
     def test_duplicate_spawn_tags_glue_deterministically(self):

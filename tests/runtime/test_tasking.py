@@ -13,7 +13,7 @@ from repro.chapel.types import REAL
 
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import compile_src, profile_src, run_src
+from conftest import compile_src, run_src, sample_src
 
 
 def dom1(lo, hi):
@@ -98,9 +98,9 @@ class TestRunScopedTaskIds:
 
     def test_repeat_profiles_produce_identical_streams(self):
         src = "forall i in 0..#64 { var x = i * 2.0; }"
-        first = profile_src(src, num_threads=4, threshold=997)
-        second = profile_src(src, num_threads=4, threshold=997)
-        assert first.monitor.samples == second.monitor.samples
+        _, first = sample_src(src, num_threads=4, threshold=997)
+        _, second = sample_src(src, num_threads=4, threshold=997)
+        assert first == second
 
 
 class TestSpawnInstrumentation:
@@ -115,8 +115,8 @@ proc main() { work(); }
 """
 
     def test_worker_samples_carry_spawn_tag_and_prestack(self):
-        res = profile_src(self.SRC, threshold=211, num_threads=4)
-        worker = [s for s in res.monitor.samples if s.spawn_tag is not None]
+        _, samples = sample_src(self.SRC, threshold=211, num_threads=4)
+        worker = [s for s in samples if s.spawn_tag is not None]
         assert worker, "expected samples inside the forall"
         for s in worker:
             assert s.pre_spawn_stack is not None
@@ -134,10 +134,10 @@ proc main() {
   }
 }
 """
-        res = profile_src(src, threshold=157, num_threads=4)
+        _, samples = sample_src(src, threshold=157, num_threads=4)
         nested = [
             s
-            for s in res.monitor.samples
+            for s in samples
             if s.spawn_tag is not None
             and s.pre_spawn_stack
             and any(f.startswith("forall_fn") for f, _ in s.pre_spawn_stack)
@@ -146,8 +146,8 @@ proc main() {
             assert s.pre_spawn_stack[-1][0] == "main"
 
     def test_idle_samples_marked(self):
-        res = profile_src(self.SRC, threshold=211, num_threads=12)
-        idles = [s for s in res.monitor.samples if s.is_idle]
+        _, samples = sample_src(self.SRC, threshold=211, num_threads=12)
+        idles = [s for s in samples if s.is_idle]
         for s in idles:
             assert s.stack[0][0] == SCHED_YIELD
             assert s.task_id == -1

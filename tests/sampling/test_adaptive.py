@@ -8,13 +8,14 @@ from __future__ import annotations
 import pytest
 
 from repro.blame.attribution import BlameAttributor
-from repro.blame.postmortem import process_samples
+from repro.blame.postmortem import PostmortemConsumer, process_samples
 from repro.blame.report import build_rows
 from repro.runtime.values import RuntimeError_
 from repro.sampling.adaptive import (
     REASON_EXHAUSTED,
     REASON_SETTLED,
     AdaptiveConfig,
+    AdaptiveController,
     AdaptiveTrail,
     StopSampling,
 )
@@ -53,7 +54,9 @@ def _profiler(**kw):
 
 @pytest.fixture(scope="module")
 def full():
-    return _profiler().profile()
+    samples = []
+    result = _profiler().profile(tap=samples.extend)
+    return result, samples
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +69,7 @@ class TestStoppingRule:
         trail = adaptive.adaptive
         assert adaptive.stopped_early
         assert trail.stop_reason == REASON_SETTLED
-        assert trail.samples_collected < full.monitor.n_samples
+        assert trail.samples_collected < full[0].monitor.n_samples
         assert trail.samples_collected == adaptive.monitor.n_samples
 
     def test_streak_and_min_rounds_honoured(self, adaptive):
@@ -99,10 +102,11 @@ class TestEquivalences:
         """The adaptive report must be byte-for-byte what processing the
         full run's stream *prefix* (up to the stopping point) yields —
         early stopping only ever truncates, never distorts."""
+        result, samples = full
         n = adaptive.adaptive.samples_collected
-        prefix = full.monitor.samples[:n]
-        pm = process_samples(full.module, prefix, tolerant=True)
-        attr = BlameAttributor(full.static_info).attribute(pm.instances)
+        prefix = samples[:n]
+        pm = process_samples(result.module, prefix, tolerant=True)
+        attr = BlameAttributor(result.static_info).attribute(pm.instances)
         rows = build_rows(attr, unknown_samples=pm.n_unknown)
         assert adaptive.report.rows == rows
         assert adaptive.postmortem.n_user == pm.n_user
@@ -119,6 +123,7 @@ class TestEquivalences:
     def test_exhausted_run_matches_plain_profile(self, full):
         """A rule that never fires (huge min_rounds) runs to the end of
         the stream and reports exactly what the plain path reports."""
+        full, _samples = full
         result = _profiler().profile(
             adaptive=AdaptiveConfig(
                 ci_width=0.05, round_samples=64, min_rounds=10_000
@@ -152,6 +157,35 @@ class TestDegradation:
 
 
 class TestPlumbing:
+    def test_short_final_round_is_recorded_but_never_stops(self, full):
+        """Only the flush that ends a completed run delivers a round
+        shorter than ``round_samples``: it joins the trail even when it
+        meets the rule, and only a full round stops the run."""
+        result, samples = full
+        cfg = AdaptiveConfig(
+            ci_width=0.5, round_samples=64, stability_window=2, min_rounds=1
+        )
+
+        def controller():
+            consumer = PostmortemConsumer(
+                result.module, options=result.static_info.options,
+                tolerant=True,
+            )
+            return AdaptiveController(cfg, result.static_info, consumer)
+
+        rounds = [samples[:64], samples[64:128]]
+        short = controller()
+        for batch in [*rounds, samples[128:191]]:
+            short.sink(batch)
+        assert [r.stable for r in short.trail.rounds] == [False, True, True]
+        assert not short.trail.stopped_early
+        stopped = controller()
+        for batch in rounds:
+            stopped.sink(batch)
+        with pytest.raises(StopSampling):
+            stopped.sink(samples[128:192])
+        assert stopped.trail.stopped_early
+
     def test_trail_dict_roundtrip(self, adaptive):
         d = adaptive.adaptive.as_dict()
         assert AdaptiveTrail.from_dict(d).as_dict() == d
@@ -163,10 +197,6 @@ class TestPlumbing:
         exc = StopSampling(REASON_SETTLED, rounds=7)
         assert exc.reason == REASON_SETTLED
         assert exc.rounds == 7
-
-    def test_adaptive_rejects_streaming_combo(self):
-        with pytest.raises(ValueError):
-            _profiler().profile(streaming=True, adaptive=CFG)
 
     @pytest.mark.parametrize(
         "kw",

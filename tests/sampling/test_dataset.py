@@ -25,7 +25,10 @@ proc main() {
 
 def record(tmp_path, source=SRC, threshold=311):
     module = compile_source(source, "prog.chpl", fresh_ids=True)
-    res = Profiler(module, num_threads=4, threshold=threshold).profile()
+    samples = []
+    res = Profiler(module, num_threads=4, threshold=threshold).profile(
+        tap=samples.extend
+    )
     path = tmp_path / "run.jsonl"
     header = DatasetHeader(
         program="prog.chpl",
@@ -33,18 +36,17 @@ def record(tmp_path, source=SRC, threshold=311):
         threshold=threshold,
         num_threads=4,
     )
-    save_samples(str(path), header, res.monitor.samples)
-    return res, str(path)
+    save_samples(str(path), header, samples)
+    return res, samples, str(path)
 
 
 class TestRoundTrip:
     def test_samples_survive_save_load(self, tmp_path):
-        res, path = record(tmp_path)
+        res, recorded, path = record(tmp_path)
         header, samples = load_samples(path)
         assert header.threshold == 311
         assert len(samples) == res.monitor.n_samples
-        for a, b in zip(res.monitor.samples, samples):
-            assert a == b  # RawSample is a frozen dataclass
+        assert samples == recorded  # RawSample is a frozen dataclass
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -61,7 +63,7 @@ class TestRoundTrip:
 
 class TestOfflineAnalysis:
     def test_offline_report_matches_online(self, tmp_path):
-        res, path = record(tmp_path)
+        res, _samples, path = record(tmp_path)
         module, pm, report = analyze_dataset(path, SRC, "prog.chpl")
         # Same samples, recompiled module with identical ids → the
         # blame report agrees with the in-process one.
@@ -69,7 +71,7 @@ class TestOfflineAnalysis:
         assert pm.n_user == res.postmortem.n_user
 
     def test_source_hash_mismatch_refused(self, tmp_path):
-        _res, path = record(tmp_path)
+        _res, _samples, path = record(tmp_path)
         with pytest.raises(DatasetMismatch):
             analyze_dataset(path, SRC + "\n// edited", "prog.chpl")
 

@@ -3,6 +3,7 @@ overhead accounting, address resolution."""
 
 import pytest
 
+from repro.pipeline import collect_stage
 from repro.sampling.monitor import Monitor, STACKWALK_CYCLES
 from repro.sampling.pmu import (
     DEFAULT_THRESHOLD,
@@ -15,7 +16,7 @@ from repro.sampling.stackwalk import StackResolver
 
 import sys, os
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
-from conftest import compile_src, profile_src
+from conftest import compile_src, profile_src, sample_src
 
 WORK = """
 var A: [0..59] real;
@@ -24,6 +25,14 @@ proc kernel() {
 }
 proc main() { kernel(); }
 """
+
+
+def collected(threshold, num_threads=4):
+    """(module, monitor) of a run whose monitor retains its stream
+    (``collect_stage`` without a sink)."""
+    module = compile_src(WORK)
+    coll = collect_stage(module, num_threads=num_threads, threshold=threshold)
+    return module, coll.monitor
 
 
 class TestPMU:
@@ -62,17 +71,18 @@ class TestSamplingDensity:
         from repro.tooling.profiler import Profiler
 
         module = compile_src(WORK)
-        a = Profiler(module, num_threads=4, threshold=499).profile()
-        b = Profiler(module, num_threads=4, threshold=499).profile()
-        sa = [(s.thread_id, s.leaf_iid, s.stack) for s in a.monitor.samples]
-        sb = [(s.thread_id, s.leaf_iid, s.stack) for s in b.monitor.samples]
+        a, b = [], []
+        Profiler(module, num_threads=4, threshold=499).profile(tap=a.extend)
+        Profiler(module, num_threads=4, threshold=499).profile(tap=b.extend)
+        sa = [(s.thread_id, s.leaf_iid, s.stack) for s in a]
+        sb = [(s.thread_id, s.leaf_iid, s.stack) for s in b]
         assert sa == sb
 
 
 class TestMonitor:
     def test_samples_have_indices_in_order(self):
-        res = profile_src(WORK, threshold=499)
-        idx = [s.index for s in res.monitor.samples]
+        _, samples = sample_src(WORK, threshold=499)
+        idx = [s.index for s in samples]
         assert idx == list(range(len(idx)))
 
     def test_overhead_accounting(self):
@@ -87,15 +97,15 @@ class TestMonitor:
         assert dense.monitor.dataset_size_bytes() > sparse.monitor.dataset_size_bytes()
 
     def test_user_samples_excludes_idle(self):
-        res = profile_src(WORK, threshold=211, num_threads=12)
-        assert all(not s.is_idle for s in res.monitor.user_samples())
+        _, monitor = collected(211, num_threads=12)
+        assert all(not s.is_idle for s in monitor.user_samples())
 
 
 class TestStackResolver:
     def test_resolves_to_file_line(self):
-        res = profile_src(WORK, threshold=499)
-        resolver = StackResolver(res.module)
-        for s in res.monitor.user_samples()[:10]:
+        module, monitor = collected(499)
+        resolver = StackResolver(module)
+        for s in monitor.user_samples()[:10]:
             frames = resolver.resolve_stack(s.stack)
             leaf = frames[0]
             assert leaf.filename == "test.chpl"
@@ -113,7 +123,7 @@ class TestStackResolver:
         assert f.filename == "<unknown>"
 
     def test_stack_leaf_is_sampled_function(self):
-        res = profile_src(WORK, threshold=499)
-        for s in res.monitor.user_samples():
+        _, monitor = collected(499)
+        for s in monitor.user_samples():
             assert s.leaf_function == s.stack[0][0]
             assert s.leaf_iid == s.stack[0][1]

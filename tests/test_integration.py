@@ -15,7 +15,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-from conftest import compile_src, profile_src
+from conftest import compile_src, profile_src, sample_src
 
 
 class TestStencilScenario:
@@ -124,26 +124,28 @@ proc main() { for t in 1..3 { hot(); } }
 """
 
     @pytest.fixture(scope="class")
-    def res(self):
-        return profile_src(self.SRC, threshold=997, num_threads=8)
+    def run(self):
+        return sample_src(self.SRC, threshold=997, num_threads=8)
 
-    def test_three_tools_one_sample_stream(self, res):
+    def test_three_tools_one_sample_stream(self, run):
+        res, samples = run
         # blame
         assert res.report.blame_of("BIG") > 0.5
         # pprof: raw frames
-        pprof_rows = build_pprof_profile(res.monitor.samples)
+        pprof_rows = build_pprof_profile(samples)
         assert sum(r.flat for r in pprof_rows) == res.monitor.n_samples
         # hpctk: the big array is plainly indexed → partially attributed
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
-        assert out.total == len([s for s in res.monitor.samples if not s.is_idle])
+        out = att.attribute(samples)
+        assert out.total == len([s for s in samples if not s.is_idle])
         assert out.fraction_of("BIG") > 0.05
 
-    def test_blame_beats_hpctk_attribution(self, res):
+    def test_blame_beats_hpctk_attribution(self, run):
         """The paper's core claim: blame attributes what allocation-
         based data-centric tools leave as 'unknown data'."""
+        res, samples = run
         att = HpctkAttributor(res.module, res.interpreter)
-        out = att.attribute(res.monitor.samples)
+        out = att.attribute(samples)
         assert res.report.blame_of("BIG") > out.fraction_of("BIG")
 
 

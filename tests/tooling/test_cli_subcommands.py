@@ -174,14 +174,21 @@ class TestProfileAndView:
         assert rc == 0
         assert capsys.readouterr().out == live
 
-    def test_streaming_refuses_save_samples(self, source_file, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(
-                [
-                    "profile", source_file, "--streaming",
-                    "--save-samples", str(tmp_path / "s.jsonl"), *FAST_ARGS,
-                ]
-            )
+    def test_streaming_flag_is_a_no_op(self, source_file, tmp_path, capsys):
+        # Streaming is the only path, so --streaming changes nothing,
+        # next to --save-samples or --adaptive alike.
+        saved = tmp_path / "s.jsonl"
+        for extra in (
+            ["--save-samples", str(saved)],
+            ["--adaptive", "--ci-width", "0.4", "--round-samples", "8"],
+        ):
+            argv = ["profile", source_file, "--view", "all", *FAST_ARGS, *extra]
+            assert cli_main(argv) == 0
+            plain = capsys.readouterr().out
+            first = saved.read_bytes()
+            assert cli_main([*argv, "--streaming"]) == 0
+            assert capsys.readouterr().out == plain
+            assert saved.read_bytes() == first
 
     def test_adaptive_profile_stops_early_and_replays(
         self, source_file, tmp_path, capsys
@@ -239,21 +246,28 @@ class TestProfileAndView:
         assert message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--streaming"],
-            ["--save-samples", "samples.jsonl"],
-        ],
-    )
-    def test_adaptive_refuses_stream_retention_combos(
-        self, source_file, extra
+    @pytest.mark.parametrize("journal", [False, True])
+    def test_adaptive_saves_collected_records(
+        self, source_file, tmp_path, journal
     ):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(
-                ["profile", source_file, "--adaptive", *extra, *FAST_ARGS]
-            )
-        assert exc.value.code == 2
+        from repro.artifact import read_artifact
+        from repro.sampling.dataset import load_samples
+
+        saved, art = tmp_path / "s.jsonl", tmp_path / "a.cbp"
+        rc = cli_main(
+            [
+                "profile", source_file, "--adaptive", "--ci-width", "0.4",
+                "--round-samples", "8", "--save-samples", str(saved),
+                *(["--journal"] if journal else []),
+                "-o", str(art), "--view", "none", *FAST_ARGS,
+            ]
+        )
+        assert rc == 0
+        trail = read_artifact(str(art)).adaptive
+        assert trail["stopped_early"]
+        _, samples = load_samples(str(saved))
+        assert len(samples) == trail["samples_collected"]
+        assert [s.index for s in samples] == list(range(len(samples)))
 
     @pytest.mark.parametrize(
         "command, top",

@@ -67,22 +67,25 @@ def main() -> None:
 
     if "t6" not in args.skip:
         section("Table VI: LULESH blame (paper: hgf* ~30, sh*/h* ~27, hourgam 25, determ 15.7, b_x 9.7, dvdx 8.3, hourmod* ~5)")
-        prof = harness.lulesh_profile()
+        samples = []
+        prof = harness.lulesh_profile(tap=samples.extend)
         for name in ["hgfx", "hgfy", "hgfz", "shx", "hx", "hourgam", "determ",
                      "b_x", "dvdx", "hourmodx"]:
             print(f"  {name:10s} {100*prof.report.blame_of(name):6.1f}%")
         section("Fig 4: pprof LULESH (paper: __sched_yield 79%, coforall_fn top)")
-        rows = build_pprof_profile(prof.monitor.samples)
-        total = len(prof.monitor.samples)
+        rows = build_pprof_profile(samples)
+        total = len(samples)
         for r in rows[:6]:
             print(f"  {r.flat:6d} {100*r.flat/total:5.1f}%  {r.function}")
 
     if "unknown" not in args.skip:
         section("Unknown data (paper: CLOMP 96.88%, LULESH 95.1%)")
-        for name, prof in [("CLOMP", harness.clomp_profile(optimized=False)),
-                           ("LULESH", harness.lulesh_profile())]:
+        for name, profile in [("CLOMP", harness.clomp_profile),
+                              ("LULESH", harness.lulesh_profile)]:
+            samples = []
+            prof = profile(tap=samples.extend)
             att = HpctkAttributor(prof.module, prof.interpreter)
-            res = att.attribute(prof.monitor.samples)
+            res = att.attribute(samples)
             print(f"  {name}: {100*res.unknown_fraction:.2f}% unknown "
                   f"({res.total} samples)")
 
