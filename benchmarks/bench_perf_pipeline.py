@@ -4,9 +4,10 @@ Times the three pipeline stages on each paper workload:
 
 * ``interpret``  — compile + execute, no sampling (pure engine speed);
 * ``sample``     — compile + execute under the PMU monitor;
-* ``profile_cold`` — first full blame profile (compile cache empty);
-* ``profile_warm`` — second full profile of the same program with the
-  compile cache hot; the blame analysis reruns, as it does per run.
+* ``profile_cold`` — first full blame profile from source;
+* ``profile_warm`` — second full profile of the same program in the same
+  process, compile included: every profile compiles and analyzes
+  afresh, so only process-level state (imports, allocator) is warm.
 
 ``BASELINE`` holds host seconds measured on this machine *before* the
 fast-path engine / caching work (pre-bound dispatch, overflow-horizon
@@ -27,7 +28,6 @@ import time
 
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.compiler.lower import compile_source
-from repro.pipeline.stages import _COMPILE_CACHE
 from repro.runtime.interpreter import Interpreter
 from repro.sampling.monitor import Monitor
 from repro.sampling.pmu import PMUConfig
@@ -78,13 +78,8 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def _best_of(fn, setup=None) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        if setup is not None:
-            setup()
-        best = min(best, _timed(fn))
-    return best
+def _best_of(fn) -> float:
+    return min(_timed(fn) for _ in range(ROUNDS))
 
 
 def measure_workload(name: str) -> dict[str, float]:
@@ -93,15 +88,11 @@ def measure_workload(name: str) -> dict[str, float]:
     config = config_for()
     out: dict[str, float] = {}
 
-    # Cold stages clear the compile cache first so every repetition
-    # includes compilation, matching how the baseline was measured.
-    clear_caches = _COMPILE_CACHE.clear
-
+    # Every repetition compiles, matching how the baseline was measured.
     out["interpret"] = _best_of(
         lambda: run_only(
             source, filename=filename, config=config, num_threads=NUM_THREADS
-        ),
-        setup=clear_caches,
+        )
     )
 
     def sample_run():
@@ -125,8 +116,7 @@ def measure_workload(name: str) -> dict[str, float]:
             threshold=THRESHOLD,
         ).profile()
 
-    out["profile_cold"] = _best_of(profile_run, setup=clear_caches)
-    # The cold rounds left the compile cache hot.
+    out["profile_cold"] = _best_of(profile_run)
     out["profile_warm"] = _best_of(profile_run)
     return out
 

@@ -95,6 +95,19 @@ class VarMeta:
 
 Root = tuple[VarKey, Path]
 
+#: The instruction types ``DataFlow._flow_instr`` propagates roots
+#: through, and those ``DataFlow._collect_writes`` records writes for;
+#: every other type changes neither.
+_FLOW_TYPES = (
+    I.Alloca, I.Load, I.Store, I.FieldAddr, I.ElemAddr, I.TupleElemAddr,
+    I.ArraySlice, I.ArrayReindex, I.MakeSparseDomain, I.DomainOp,
+    I.IterInit, I.IterValue,
+)
+_WRITE_TYPES = (
+    I.Store, I.ArraySlice, I.ArrayReindex, I.DomainOp, I.MakeSparseDomain,
+    I.MakeArray, I.IterInit, I.IterNext, I.Ret, I.Call, I.SpawnJoin,
+)
+
 
 class DataFlow:
     """Flow-insensitive roots/writes analysis for one function."""
@@ -187,6 +200,7 @@ class DataFlow:
     def _analyze(self) -> None:
         fn = self.function
         instrs = list(fn.instructions())
+        flow_instrs = [i for i in instrs if isinstance(i, _FLOW_TYPES)]
 
         # Ref formals are address roots from entry.
         for p in fn.params:
@@ -203,13 +217,14 @@ class DataFlow:
             iterations += 1
             if iterations > 50:
                 break  # defensive bound; real programs converge in 2-4
-            for instr in instrs:
+            for instr in flow_instrs:
                 if self._flow_instr(instr):
                     changed = True
 
         # Second pass: collect writes (needs final root sets).
         for instr in instrs:
-            self._collect_writes(instr)
+            if isinstance(instr, _WRITE_TYPES):
+                self._collect_writes(instr)
 
     def _set_roots(self, reg: I.Register | None, roots: frozenset[Root]) -> bool:
         if reg is None:

@@ -45,65 +45,12 @@ class FunctionBlameInfo:
         return m
 
 
-def compute_global_aliases(
-    module: Module, options: "object | None" = None
-) -> dict[VarKey, frozenset[Root]]:
-    """Phase 1 of the static analysis: module-wide alias facts.
-
-    A data-flow pass over every function collects which globals hold
-    aliases of which (e.g. module init storing a slice of ``Pos`` into
-    ``RealPos``), iterated so aliases of aliases converge.
-    """
-    from .options import FULL
-
-    options = options or FULL
-    global_aliases: dict[VarKey, frozenset[Root]] = {}
-    for _round in range(3):
-        merged: dict[VarKey, set[Root]] = {
-            k: set(v) for k, v in global_aliases.items()
-        }
-        for fn in module.functions.values():
-            df = DataFlow(fn, module, global_aliases=global_aliases, options=options)
-            for key, roots in df.stored_roots.items():
-                if key.kind == "global":
-                    merged.setdefault(key, set()).update(
-                        r for r in roots if r[0].kind == "global"
-                    )
-        new_aliases = {k: frozenset(v) for k, v in merged.items()}
-        if new_aliases == global_aliases:
-            break
-        global_aliases = new_aliases
-    return global_aliases
-
-
-def analyze_function(
-    fn: Function,
-    module: Module,
-    global_aliases: "dict[VarKey, frozenset[Root]]",
-    options: "object | None" = None,
-) -> FunctionBlameInfo:
-    """Phase 2 for one function: the full per-function analyses with the
-    module-wide alias facts visible.  Pure in the function's IR, the
-    module context, the aliases and the options."""
-    from .options import FULL
-
-    options = options or FULL
-    df = DataFlow(fn, module, global_aliases=global_aliases, options=options)
-    return FunctionBlameInfo(
-        function=fn,
-        dataflow=df,
-        blame_sets=compute_blame_sets(fn, df),
-        exit_vars=compute_exit_vars(fn, df),
-        transfer=TransferFunction(df),
-    )
-
-
 class ModuleBlameInfo:
     """Static blame info for every function in a module.
 
     Built in two phases: a first data-flow pass over every function
     collects *global alias facts* (e.g. module init storing a slice of
-    ``Pos`` into ``RealPos``); a second pass re-runs the analyses with
+    ``Pos`` into ``RealPos``); a second pass runs the analyses with
     those facts seeded, so writes through an alias blame the base
     everywhere in the program (Chapel slice semantics, paper §V.A).
     """
@@ -115,13 +62,50 @@ class ModuleBlameInfo:
         self.options = options or FULL
         self.functions: dict[str, FunctionBlameInfo] = {}
 
-        # Phase 1 (see compute_global_aliases).
-        self.global_aliases = compute_global_aliases(module, self.options)
+        def flows(
+            aliases: dict[VarKey, frozenset[Root]]
+        ) -> dict[str, DataFlow]:
+            return {
+                name: DataFlow(
+                    fn, module, global_aliases=aliases, options=self.options
+                )
+                for name, fn in module.functions.items()
+            }
 
-        # Phase 2: full per-function analyses with aliases visible.
+        # Phase 1: each round builds every function's DataFlow with the
+        # alias facts so far and collects the global-to-global aliases
+        # its stores establish, so aliases of aliases converge.
+        aliases: dict[VarKey, frozenset[Root]] = {}
+        for _round in range(3):
+            round_flows = flows(aliases)
+            merged: dict[VarKey, set[Root]] = {
+                k: set(v) for k, v in aliases.items()
+            }
+            for df in round_flows.values():
+                for key, roots in df.stored_roots.items():
+                    if key.kind == "global":
+                        merged.setdefault(key, set()).update(
+                            r for r in roots if r[0].kind == "global"
+                        )
+            new_aliases = {k: frozenset(v) for k, v in merged.items()}
+            if new_aliases == aliases:
+                break  # this round's flows already saw the final facts
+            aliases = new_aliases
+        else:
+            # Unconverged at the round cap: the last round's flows saw
+            # the facts before its own additions.
+            round_flows = flows(aliases)
+        self.global_aliases = aliases
+
+        # Phase 2: the per-function analyses over the final flows.
         for name, fn in module.functions.items():
-            self.functions[name] = analyze_function(
-                fn, module, self.global_aliases, self.options
+            df = round_flows[name]
+            self.functions[name] = FunctionBlameInfo(
+                function=fn,
+                dataflow=df,
+                blame_sets=compute_blame_sets(fn, df),
+                exit_vars=compute_exit_vars(fn, df),
+                transfer=TransferFunction(df),
             )
 
     def info_for(self, func_name: str) -> FunctionBlameInfo | None:

@@ -9,7 +9,7 @@ remapping, ``param`` loops, and ``select``-``when``.
 
 from .ast_nodes import Program
 from .errors import ChapelError, LexError, NameError_, ParseError, TypeError_
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse
 from .symbols import Scope, Symbol
 from .tokens import SourceLocation, Token, TokenKind
@@ -17,7 +17,6 @@ from .tokens import SourceLocation, Token, TokenKind
 __all__ = [
     "ChapelError",
     "LexError",
-    "Lexer",
     "NameError_",
     "ParseError",
     "Parser",

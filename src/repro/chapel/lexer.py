@@ -1,17 +1,53 @@
-"""Hand-written lexer for the mini-Chapel frontend.
+"""Lexer for the mini-Chapel frontend: one compiled master regex.
 
 Produces a flat list of :class:`~repro.chapel.tokens.Token` with precise
 source locations; line numbers feed the IR debug info that the blame
 analysis later uses to map samples back to source lines, so location
 accuracy here is load-bearing for the whole pipeline.
+
+Each step matches one alternative of ``_TOKEN`` at the cursor: trivia
+(whitespace and ``//`` comments), a ``/*`` opener, a number, a word, a
+string, or an operator (longest first).  Nested ``/* */`` comments and
+malformed strings leave the regex for a short scan of their own.  Columns
+count characters from the last newline, ``\\r`` and ``\\t`` included.
+
+Character classes follow ``str`` semantics, not ASCII: a number starts
+at any ``str.isdigit`` character, a word at any ``str.isalpha``
+character or ``_``, and continues over ``str.isalnum`` characters and
+``_`` (exactly what ``\\w`` matches).
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexError
 from .tokens import KEYWORDS, SourceLocation, Token, TokenKind
 
-_SINGLE_CHAR: dict[str, TokenKind] = {
+_OPERATORS: dict[str, TokenKind] = {
+    "..#": TokenKind.DOTDOTHASH,
+    "..": TokenKind.DOTDOT,
+    "**": TokenKind.STARSTAR,
+    "+=": TokenKind.PLUS_ASSIGN,
+    "-=": TokenKind.MINUS_ASSIGN,
+    "*=": TokenKind.STAR_ASSIGN,
+    "/=": TokenKind.SLASH_ASSIGN,
+    "==": TokenKind.EQ,
+    "!=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "&&": TokenKind.AND,
+    "||": TokenKind.OR,
+    "=>": TokenKind.ARROW,
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "=": TokenKind.ASSIGN,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "!": TokenKind.NOT,
+    ".": TokenKind.DOT,
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "{": TokenKind.LBRACE,
@@ -26,203 +62,145 @@ _SINGLE_CHAR: dict[str, TokenKind] = {
     "?": TokenKind.QUESTION,
 }
 
+#: The characters ``str.isdigit`` accepts beyond the decimal digits
+#: ``\d`` matches: superscripts, circled and parenthesized digits and
+#: the like (Unicode 14.0, Python 3.11).  tests/chapel/test_lexer.py
+#: checks the class against ``str.isdigit`` over every code point.
+_NON_DECIMAL_DIGITS = (
+    "\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    "\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    "\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    "\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a"
+)
+_DIGIT = rf"[\d{_NON_DECIMAL_DIGITS}]"
+_DIGIT_RUN = rf"[\d{_NON_DECIMAL_DIGITS}_]*+"
+_EXPONENT = rf"[eE][+-]?+{_DIGIT}++"
+#: Per opening quote: characters and known escapes, up to the closing
+#: quote (a raw newline ends a string unterminated).
+_STRING_BODY = {q: rf"""(?:[^{q}\\\n]|\\[nt\\"'])*+""" for q in "\"'"}
 
-class Lexer:
-    """Converts mini-Chapel source text into tokens.
-
-    Usage::
-
-        tokens = Lexer(source, filename="prog.chpl").tokenize()
-    """
-
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-
-    # -- Low-level cursor helpers -------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _emit(self, kind: TokenKind, text: str, loc: SourceLocation) -> None:
-        self.tokens.append(Token(kind, text, loc))
-
-    # -- Scanners ------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skips whitespace and both comment styles (``//`` and ``/* */``)."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                depth = 1
-                while depth > 0:
-                    if self.pos >= len(self.source):
-                        raise LexError("unterminated block comment", start)
-                    if self._peek() == "/" and self._peek(1) == "*":
-                        depth += 1
-                        self._advance(2)
-                    elif self._peek() == "*" and self._peek(1) == "/":
-                        depth -= 1
-                        self._advance(2)
-                    else:
-                        self._advance()
-            else:
-                return
-
-    def _scan_number(self) -> None:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isdigit() or self._peek() == "_":
-            self._advance()
-        is_real = False
-        # A '.' begins a fraction only if not the start of a '..' range.
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_real = True
-            self._advance()
-            while self._peek().isdigit() or self._peek() == "_":
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_real = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos].replace("_", "")
-        self._emit(TokenKind.REAL_LIT if is_real else TokenKind.INT_LIT, text, loc)
-
-    def _scan_ident(self) -> None:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        self._emit(kind, text, loc)
-
-    def _scan_string(self) -> None:
-        loc = self._loc()
-        quote = self._peek()
-        self._advance()
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise LexError("unterminated string literal", loc)
-            ch = self._peek()
-            if ch == quote:
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                mapped = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}.get(esc)
-                if mapped is None:
-                    raise LexError(f"unknown escape sequence '\\{esc}'", self._loc())
-                chars.append(mapped)
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        self._emit(TokenKind.STRING_LIT, "".join(chars), loc)
-
-    def _scan_operator(self) -> None:
-        loc = self._loc()
-        three = self.source[self.pos : self.pos + 3]
-        two = self.source[self.pos : self.pos + 2]
-        one = self._peek()
-        if three == "..#":
-            self._emit(TokenKind.DOTDOTHASH, three, loc)
-            self._advance(3)
-            return
-        two_map = {
-            "..": TokenKind.DOTDOT,
-            "**": TokenKind.STARSTAR,
-            "+=": TokenKind.PLUS_ASSIGN,
-            "-=": TokenKind.MINUS_ASSIGN,
-            "*=": TokenKind.STAR_ASSIGN,
-            "/=": TokenKind.SLASH_ASSIGN,
-            "==": TokenKind.EQ,
-            "!=": TokenKind.NE,
-            "<=": TokenKind.LE,
-            ">=": TokenKind.GE,
-            "&&": TokenKind.AND,
-            "||": TokenKind.OR,
-            "=>": TokenKind.ARROW,
-        }
-        if two in two_map:
-            self._emit(two_map[two], two, loc)
-            self._advance(2)
-            return
-        one_map = {
-            "+": TokenKind.PLUS,
-            "-": TokenKind.MINUS,
-            "*": TokenKind.STAR,
-            "/": TokenKind.SLASH,
-            "=": TokenKind.ASSIGN,
-            "<": TokenKind.LT,
-            ">": TokenKind.GT,
-            "!": TokenKind.NOT,
-            ".": TokenKind.DOT,
-        }
-        if one in one_map:
-            self._emit(one_map[one], one, loc)
-            self._advance()
-            return
-        if one in _SINGLE_CHAR:
-            self._emit(_SINGLE_CHAR[one], one, loc)
-            self._advance()
-            return
-        raise LexError(f"unexpected character {one!r}", loc)
-
-    # -- Entry point -----------------------------------------------------------
-
-    def tokenize(self) -> list[Token]:
-        """Scans the whole source and returns tokens ending with EOF."""
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                break
-            ch = self._peek()
-            if ch.isdigit():
-                self._scan_number()
-            elif ch.isalpha() or ch == "_":
-                self._scan_ident()
-            elif ch in "\"'":
-                self._scan_string()
-            else:
-                self._scan_operator()
-        self._emit(TokenKind.EOF, "", self._loc())
-        return self.tokens
+# Possessive quantifiers keep a failed fraction or exponent from
+# backtracking into the digits before it (``1.5E*`` is ``1.5 E *``).
+# A fraction needs a digit after the dot, so ``0..9`` is a range.
+_TOKEN = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]++|//[^\n]*+)++)"
+    r"|(?P<comment>/\*)"
+    rf"|(?P<real>{_DIGIT}{_DIGIT_RUN}"
+    rf"(?:\.{_DIGIT}{_DIGIT_RUN}(?:{_EXPONENT})?+|{_EXPONENT}))"
+    rf"|(?P<int>{_DIGIT}{_DIGIT_RUN})"
+    r"|(?P<word>[^\W\d]\w*+)"
+    + "|(?P<string>"
+    + "|".join(f"{q}{body}{q}" for q, body in _STRING_BODY.items())
+    + ")"
+    + r"""|(?P<quote>["'])"""
+    + "|(?P<op>"
+    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + ")"
+)
+_COMMENT_DELIMITER = re.compile(r"/\*|\*/")
+_STRING_PREFIX = {q: re.compile(body) for q, body in _STRING_BODY.items()}
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokenize()
+    """Lexes ``source`` into a token list ending with EOF.
+
+    Raises :class:`LexError` at the first character that starts no
+    token, an unterminated string or block comment, or an unknown
+    escape sequence.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    end_of_source = len(source)
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    while pos < end_of_source:
+        m = match(source, pos)
+        if m is None:
+            raise LexError(
+                f"unexpected character {source[pos]!r}",
+                SourceLocation(filename, line, pos - line_start + 1),
+            )
+        group = m.lastgroup
+        end = m.end()
+        if group == "trivia" or group == "comment":
+            if group == "comment":
+                end = _block_comment_end(
+                    source, end, SourceLocation(filename, line, pos - line_start + 1)
+                )
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
+            pos = end
+            continue
+        text = m.group()
+        if group == "word":
+            kind = KEYWORDS.get(text, TokenKind.IDENT)
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                # A numeric character that is not a digit (``Ⅷ``, ``½``)
+                # continues a word but cannot start one.
+                raise LexError(
+                    f"unexpected character {first!r}",
+                    SourceLocation(filename, line, pos - line_start + 1),
+                )
+        elif group == "op":
+            kind = _OPERATORS[text]
+        elif group == "int":
+            kind = TokenKind.INT_LIT
+            text = text.replace("_", "")
+        elif group == "real":
+            kind = TokenKind.REAL_LIT
+            text = text.replace("_", "")
+        elif group == "string":
+            kind = TokenKind.STRING_LIT
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
+        else:  # "quote": a string the ``string`` alternative rejected
+            raise _string_error(source, pos, filename, line, line_start)
+        append(Token(kind, text, SourceLocation(filename, line, pos - line_start + 1)))
+        pos = end
+    append(
+        Token(
+            TokenKind.EOF,
+            "",
+            SourceLocation(filename, line, end_of_source - line_start + 1),
+        )
+    )
+    return tokens
+
+
+def _block_comment_end(source: str, pos: int, start: SourceLocation) -> int:
+    """Index just past the ``*/`` closing the comment opened before
+    ``pos``; comments nest."""
+    depth = 1
+    search = _COMMENT_DELIMITER.search
+    while depth:
+        m = search(source, pos)
+        if m is None:
+            raise LexError("unterminated block comment", start)
+        depth += 1 if m.group() == "/*" else -1
+        pos = m.end()
+    return pos
+
+
+def _string_error(
+    source: str, pos: int, filename: str, line: int, line_start: int
+) -> LexError:
+    """The error for the malformed string starting at ``pos``."""
+    stop = _STRING_PREFIX[source[pos]].match(source, pos + 1).end()
+    if stop < len(source) and source[stop] == "\\":
+        # An escape the body pattern does not know (or ``\`` at the end).
+        return LexError(
+            f"unknown escape sequence '\\{source[stop + 1 : stop + 2]}'",
+            SourceLocation(filename, line, stop + 1 - line_start + 1),
+        )
+    return LexError(
+        "unterminated string literal",
+        SourceLocation(filename, line, pos - line_start + 1),
+    )

@@ -282,7 +282,7 @@ class Lowerer:
             self.program.loc,
             is_artificial=True,
         )
-        self.module.add_function(init_fn)
+        self.add_function(init_fn)
         self.module.global_init = init_fn
         init_lowerer = FunctionLowerer(self, init_fn, Scope(), is_module_init=True)
         init_lowerer.start()
@@ -381,7 +381,7 @@ class Lowerer:
             reg = Register(ty, hint=f"arg_{name}")
             params.append(FunctionParam(name, ty, ir_intent, reg))
         fn = Function(decl.name, params, sig.return_type, decl.loc, outlined_from=outlined_from)
-        self.module.add_function(fn)
+        self.add_function(fn)
         fl = FunctionLowerer(self, fn, Scope())
         fl.start()
         # Bind formals: "in" formals get a home alloca (addressable, and
@@ -403,6 +403,18 @@ class Lowerer:
             fl.lower_stmt(stmt)
         fl.finish()
         return fn
+
+    def add_function(self, fn: Function) -> None:
+        """Adds a function about to be lowered.  ``lower_program``
+        verifies the functions ``module.functions`` holds, so a proc
+        named like a compiler-generated function must not replace it."""
+        if fn.name in self.module.functions:
+            raise NameError_(
+                f"proc name {fn.name!r} collides with a compiler-generated "
+                "function",
+                fn.loc,
+            )
+        self.module.add_function(fn)
 
     def next_outline_name(self, kind: str) -> str:
         return f"{kind}_fn_chpl{next(self._outline_counter)}"
@@ -453,9 +465,6 @@ class FunctionLowerer:
                     "without returning a value",
                     self.fn.loc,
                 )
-        from ..ir.verifier import verify_function
-
-        verify_function(self.fn, self.module)
 
     def _push_scope(self) -> Scope:
         self.scope = self.scope.child()
@@ -1285,7 +1294,7 @@ class FunctionLowerer:
             outlined.reduce_vars = frozenset(
                 name for _op, name in stmt.reduce_intents
             )
-        self.module.add_function(outlined)
+        self.L.add_function(outlined)
 
         ofl = FunctionLowerer(self.L, outlined, Scope())
         ofl.start()
@@ -2032,7 +2041,8 @@ class FunctionLowerer:
 
 
 def lower_program(program: A.Program, module_name: str = "module") -> Module:
-    """Public entry: AST → verified IR module."""
+    """Public entry: AST → verified IR module (each function verified
+    once, here)."""
     module = Lowerer(program, module_name).lower()
     from ..ir.verifier import verify_module
 

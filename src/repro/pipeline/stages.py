@@ -4,7 +4,7 @@ The paper's Fig. 2 tool is a four-step pipeline; this module spells it
 out as six narrow functions so each seam is a real API instead of a
 region inside ``Profiler.profile()``:
 
-    compile_stage     source text      → IR module (cached)
+    compile_stage     source text      → IR module
     analyze_stage     module           → static blame info (step 1)
     collect_stage     module           → monitor + run result (step 2)
     postmortem_stage  raw samples      → consolidated instances (step 3)
@@ -44,30 +44,20 @@ from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
 from ..sampling.records import RawSample
 from ..views import VIEWS, render_stage  # noqa: F401  re-exported: step 4b
 
-#: (source, filename, fast) → compiled (and fast-lowered) Module.
-#: Profiling the same program repeatedly in one process reuses one
-#: Module object, which skips recompilation and keeps instruction ids
-#: identical across runs, so their streams and artifacts compare
-#: directly.  Bounded FIFO.
-_COMPILE_CACHE: dict[tuple[str, str, bool], Module] = {}
-_COMPILE_CACHE_MAX = 32
-
-
 def compile_stage(
     source: str, filename: str = "program.chpl", fast: bool = False
 ) -> Module:
-    """Source text → IR module, through the bounded compile cache."""
-    key = (source, filename, fast)
-    module = _COMPILE_CACHE.get(key)
-    if module is None:
-        module = compile_source(source, filename)
-        if fast:
-            from ..compiler.passes import run_fast_pipeline
+    """Source text → IR module, ``--fast``-lowered when ``fast``.
 
-            run_fast_pipeline(module)
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
-            _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)))
-        _COMPILE_CACHE[key] = module
+    Every call compiles afresh and draws new instruction ids from the
+    process-wide counters.  Runs that must compare streams or artifacts
+    share one compiled module: pass it to each ``Profiler``.
+    """
+    module = compile_source(source, filename)
+    if fast:
+        from ..compiler.passes import run_fast_pipeline
+
+        run_fast_pipeline(module)
     return module
 
 

@@ -277,10 +277,9 @@ class Interpreter:
                     thread.task = task
                 elif sched.any_running:
                     # Idle stretch: the queue is empty and nothing can
-                    # enqueue work until a busy thread runs, so tick
-                    # min-clock idle threads (same per-tick bookkeeping
-                    # as _idle_tick) until a busy thread is min again.
-                    while thread.task is None:
+                    # enqueue work until a busy thread runs, so tick the
+                    # min-clock idle threads until a busy thread is min.
+                    for thread in sched.idle_stretch():
                         thread.clock += idle_cost
                         thread.idle_cycles += idle_cost
                         if sampling:
@@ -288,18 +287,12 @@ class Interpreter:
                             thread.pmu_counter = pmu
                             if pmu >= threshold:
                                 overflow(thread, True)
-                        thread = pick_thread()
+                    thread = pick_thread()
                 else:
                     raise RuntimeError_(
                         "scheduler stalled: no runnable tasks but main not done"
                     )
             self._run_quantum(thread)
-
-    def _idle_tick(self, thread) -> None:
-        cost = self.cost_model.idle_quantum
-        thread.clock += cost
-        thread.idle_cycles += cost
-        self._accrue_pmu(thread, cost, idle=True)
 
     def _run_quantum(self, thread) -> None:
         eng = self._fast_engine

@@ -17,8 +17,10 @@ code-centric pprof profile in paper Fig. 4.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from heapq import heapify, heapreplace
+from operator import attrgetter
 
 from ..ir.module import BasicBlock, Function
 from .values import (
@@ -174,6 +176,31 @@ class Scheduler:
         tuple construction in this extremely hot call.
         """
         return min(self.threads, key=self._clock_key)
+
+    def idle_stretch(self) -> Iterator[WorkerThread]:
+        """Yields what :meth:`pick_thread` would pick, one idle tick at a
+        time, while an idle thread is the minimum.  The caller advances
+        each yielded thread's clock before asking for the next; the
+        stretch ends when a busy thread is the minimum.
+
+        Only idle threads tick, so busy clocks are fixed for the whole
+        stretch: the idle threads wait in a heap keyed ``(clock,
+        thread_id)`` like ``pick_thread``, and each pick costs one
+        ``heapreplace`` instead of a ``min`` over every thread.
+        """
+        threads = self.threads
+        busy = min(
+            (t for t in threads if t.task is not None), key=self._clock_key
+        )
+        # A thread_id never repeats, so comparisons stop before the
+        # thread objects.
+        stop = (busy.clock, busy.thread_id)
+        heap = [(t.clock, t.thread_id, t) for t in threads if t.task is None]
+        heapify(heap)
+        while heap[0] < stop:
+            thread = heap[0][2]
+            yield thread
+            heapreplace(heap, (thread.clock, thread.thread_id, thread))
 
     @property
     def any_running(self) -> bool:

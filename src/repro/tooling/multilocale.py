@@ -44,6 +44,8 @@ from ..errors import (
     LocaleTimeoutError,
     ReproError,
 )
+from ..ir.module import Module
+from ..pipeline.stages import compile_stage
 from ..resilience.retrying import backoff_attempts
 from .profiler import ProfileResult, Profiler
 
@@ -142,6 +144,9 @@ def profile_locales(
     from ..sampling.dataset import source_digest
 
     digest = source_digest(source)
+    # One module for every locale (and retry): the locales run the same
+    # program, and shared instruction ids make their shards comparable.
+    module = compile_stage(source, filename)
     base = dict(config or {})
     per_locale: list[ProfileResult] = []
     snapshots: list[ProfileSnapshot] = []
@@ -151,8 +156,7 @@ def profile_locales(
         cfg[locale_id_config] = locale
         cfg[num_locales_config] = num_locales
         outcome, result = _run_one_locale(
-            source,
-            filename,
+            module,
             cfg,
             locale,
             num_threads=num_threads,
@@ -218,8 +222,7 @@ def profile_locales(
 
 
 def _run_one_locale(
-    source: str,
-    filename: str,
+    module: Module,
     cfg: dict[str, object],
     locale: int,
     num_threads: int,
@@ -249,8 +252,7 @@ def _run_one_locale(
             if delay:
                 time.sleep(delay)
             result = Profiler(
-                source,
-                filename=filename,
+                module,
                 config=cfg,
                 num_threads=num_threads,
                 threshold=threshold,

@@ -271,8 +271,9 @@ def run_only(
 
 
 def _reject_fast_module(fast: bool) -> None:
-    """``--fast`` lowering rewrites a module in place; a caller's module
-    may be the compile cache's shared copy, so it is never lowered here."""
+    """``--fast`` lowering rewrites a module in place, and a caller may
+    profile its module again or hand it to other profilers, so a
+    caller's module is never lowered here."""
     if fast:
         raise ValueError(
             "fast=True needs source text; for a Module, compile it with "

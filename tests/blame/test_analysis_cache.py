@@ -1,6 +1,6 @@
 """Blame analysis is a plain function of the module: separate analyses
 of one module agree, analyses of distinct modules stay keyed to their
-own instructions, and repeated profiles of one source are identical."""
+own instructions, and repeated profiles of one module are identical."""
 
 from repro.blame.static_info import ModuleBlameInfo
 from repro.compiler.lower import compile_source
@@ -56,13 +56,11 @@ class TestCachedResultsMatchFresh:
             assert staged_info.exit_vars == fresh_info.exit_vars
 
     def test_repeated_profiles_identical(self):
-        kwargs = dict(
-            filename="cache_prof.chpl", num_threads=4, threshold=997
-        )
+        module = fresh_module("cache_prof.chpl")
+        kwargs = dict(num_threads=4, threshold=997)
         samples1, samples2 = [], []
-        r1 = Profiler(SRC, **kwargs).profile(tap=samples1.extend)
-        r2 = Profiler(SRC, **kwargs).profile(tap=samples2.extend)
-        assert r2.module is r1.module  # compile cache shares the module
+        r1 = Profiler(module, **kwargs).profile(tap=samples1.extend)
+        r2 = Profiler(module, **kwargs).profile(tap=samples2.extend)
         assert r2.static_info is not r1.static_info  # analyzed afresh
         assert r1.run_result.output == r2.run_result.output
         s1 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in samples1]

@@ -138,6 +138,48 @@ class TestVerifyModule:
             verify_module(m)
 
 
+class TestCompileVerifiesOnce:
+    """``lower_program`` verifies ``module.functions``; lowering itself
+    does not verify, so every lowered function must end up there."""
+
+    @pytest.mark.parametrize("program", ["lulesh", "minimd", "clomp", "spmv"])
+    def test_each_function_verified_once(self, monkeypatch, program):
+        import importlib
+
+        from repro.compiler.lower import compile_source
+        from repro.ir import verifier
+
+        calls = []
+        verify = verifier.verify_function
+
+        def counting(f, module=None):
+            calls.append(f)
+            verify(f, module)
+
+        monkeypatch.setattr(verifier, "verify_function", counting)
+        gen = importlib.import_module(f"repro.bench.programs.{program}")
+        module = compile_source(gen.build_source(), f"{program}.chpl")
+        assert calls == list(module.functions.values())
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "proc __module_init() { }\nproc main() { }",
+            "var A: [0..3] int;\nproc forall_fn_chpl1() { }\n"
+            "proc main() { forall i in 0..3 { A[i] = i; } }",
+            "var A: [0..3] int;\nforall i in 0..3 { A[i] = i; }\n"
+            "proc forall_fn_chpl1() { }",
+        ],
+        ids=["module-init", "outlined-after", "outlined-before"],
+    )
+    def test_proc_cannot_shadow_a_generated_function(self, src):
+        from repro.chapel.errors import NameError_
+        from repro.compiler.lower import compile_source
+
+        with pytest.raises(NameError_, match="compiler-generated"):
+            compile_source(src, "shadow.chpl")
+
+
 class TestAnalysisInvariants:
     """Debug-info and alloca-binding invariants used by the advisor."""
 

@@ -28,6 +28,7 @@ from repro.pipeline import (
     aggregate_stage,
     analyze_stage,
     attribute_stage,
+    compile_stage,
     postmortem_stage,
     render_stage,
 )
@@ -46,13 +47,17 @@ from .conftest import (
 
 #: The first Profiler run per configuration (the cross-run reference).
 _FIRST: dict = {}
+#: One compiled module per benchmark: every run of it shares its
+#: instruction ids, so streams and artifacts compare across runs.
+_MODULES: dict = {}
 
 
 def profile(name: str, faults: str | None = None, tap=None, **kwargs):
     source, filename, config = benchmark_setup(name)
+    if name not in _MODULES:
+        _MODULES[name] = compile_stage(source, filename)
     return Profiler(
-        source,
-        filename=filename,
+        _MODULES[name],
         config=config,
         num_threads=NUM_THREADS,
         threshold=THRESHOLD,
