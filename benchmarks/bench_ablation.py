@@ -14,6 +14,8 @@ signature results:
 
 from conftest import record_result, run_once
 
+from dataclasses import replace
+
 from repro.bench import harness
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.blame.options import ABLATIONS, FULL
@@ -22,14 +24,8 @@ from repro.views.tables import render_table
 
 
 def _profile(source, name, config, options):
-    return Profiler(
-        source,
-        filename=name,
-        config=config,
-        num_threads=harness.NUM_THREADS,
-        threshold=harness.PROFILE_THRESHOLD,
-        blame_options=options,
-    ).profile()
+    run = replace(harness.PROFILE_RUN, config=config, blame_options=options)
+    return Profiler(source, run, filename=name).profile()
 
 
 def measure():

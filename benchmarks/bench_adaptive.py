@@ -40,7 +40,7 @@ from repro.bench.harness import host_info
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.blame.confidence import resolved_kendall_tau
 from repro.resilience.stability import kendall_tau, top_n_overlap
-from repro.sampling.adaptive import AdaptiveConfig
+from repro.run_config import AdaptiveConfig, RunConfig
 from repro.tooling.profiler import Profiler
 
 NUM_THREADS = 12
@@ -87,19 +87,15 @@ def measure_workload(name: str) -> dict:
     source = build()
     config = config_for()
 
-    def profiler():
-        return Profiler(
-            source,
-            filename=filename,
-            config=config,
-            num_threads=NUM_THREADS,
-            threshold=threshold,
+    def profiler(adaptive=None):
+        run = RunConfig(
+            config=config, num_threads=NUM_THREADS, threshold=threshold,
+            batch_size=256, adaptive=adaptive,
         )
+        return Profiler(source, run, filename=filename)
 
     full = profiler().profile()
-    adaptive = profiler().profile(
-        adaptive=AdaptiveConfig(ci_width=ci_width, round_samples=256)
-    )
+    adaptive = profiler(AdaptiveConfig(ci_width=ci_width)).profile()
     trail = adaptive.adaptive
     full_samples = full.monitor.n_samples
     got = trail.samples_collected

@@ -34,6 +34,7 @@ from repro.artifact import (
 )
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.pipeline import render_stage
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 NUM_THREADS = 12
@@ -76,10 +77,8 @@ def measure_workload(name: str, tmp_dir: str) -> dict:
 
     profiler = Profiler(
         source,
+        RunConfig(config=config, num_threads=NUM_THREADS, threshold=THRESHOLD),
         filename=filename,
-        config=config,
-        num_threads=NUM_THREADS,
-        threshold=THRESHOLD,
     )
     t_profile, result = _timed(profiler.profile)
     snapshot = snapshot_from_result(result)

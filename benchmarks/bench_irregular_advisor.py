@@ -41,6 +41,7 @@ from repro.analysis import AnalysisContext, analyze_module, rank_findings
 from repro.bench.harness import host_info
 from repro.bench.programs import mttkrp, spmv
 from repro.compiler.lower import compile_source
+from repro.run_config import RunConfig
 from repro.runtime.interpreter import Interpreter
 from repro.tooling.profiler import Profiler
 
@@ -112,10 +113,8 @@ def measure_workload(name: str) -> dict:
         outputs[variant] = run.output
         prof = Profiler(
             source,
+            RunConfig(config=config, num_threads=NUM_THREADS, threshold=THRESHOLD),
             filename=f"{name}.chpl",
-            config=config,
-            num_threads=NUM_THREADS,
-            threshold=THRESHOLD,
         ).profile()
         reports[variant] = prof.report
         out["variants"][variant] = {

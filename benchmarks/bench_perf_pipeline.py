@@ -28,6 +28,7 @@ import time
 
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.compiler.lower import compile_source
+from repro.run_config import RunConfig
 from repro.runtime.interpreter import Interpreter
 from repro.sampling.monitor import Monitor
 from repro.sampling.pmu import PMUConfig
@@ -91,7 +92,8 @@ def measure_workload(name: str) -> dict[str, float]:
     # Every repetition compiles, matching how the baseline was measured.
     out["interpret"] = _best_of(
         lambda: run_only(
-            source, filename=filename, config=config, num_threads=NUM_THREADS
+            source, RunConfig(config=config, num_threads=NUM_THREADS),
+            filename=filename,
         )
     )
 
@@ -110,10 +112,8 @@ def measure_workload(name: str) -> dict[str, float]:
     def profile_run():
         Profiler(
             source,
+            RunConfig(config=config, num_threads=NUM_THREADS, threshold=THRESHOLD),
             filename=filename,
-            config=config,
-            num_threads=NUM_THREADS,
-            threshold=THRESHOLD,
         ).profile()
 
     out["profile_cold"] = _best_of(profile_run)

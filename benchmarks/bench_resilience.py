@@ -32,6 +32,7 @@ import pytest
 
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.resilience import FAULT_CLASSES, FaultPlan, compare_reports
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 NUM_THREADS = 12
@@ -52,14 +53,11 @@ QUICK_RATES = (0.10,)
 
 
 def _profile(source, filename, config, faults=None):
-    return Profiler(
-        source,
-        filename=filename,
-        config=config,
-        num_threads=NUM_THREADS,
-        threshold=THRESHOLD,
+    run = RunConfig(
+        config=config, num_threads=NUM_THREADS, threshold=THRESHOLD,
         faults=faults,
-    ).profile()
+    )
+    return Profiler(source, run, filename=filename).profile()
 
 
 def sweep_workload(name: str, rates=RATES) -> dict:

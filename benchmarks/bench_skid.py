@@ -16,6 +16,8 @@ from conftest import record_result, run_once
 
 from repro.bench import harness
 from repro.bench.programs import minimd
+from dataclasses import replace
+
 from repro.compiler.lower import compile_source
 from repro.tooling.profiler import Profiler
 from repro.views.tables import render_table
@@ -34,14 +36,11 @@ def measure():
         ("skid=16", 16, False),
         ("skid=16+comp", 16, True),
     ]:
-        res = Profiler(
-            module,
-            config=minimd.DEFAULT_CONFIG,
-            num_threads=harness.NUM_THREADS,
-            threshold=harness.PROFILE_THRESHOLD,
-            skid=skid,
+        run = replace(
+            harness.PROFILE_RUN, config=minimd.DEFAULT_CONFIG, skid=skid,
             skid_compensation=comp,
-        ).profile()
+        )
+        res = Profiler(module, run).profile()
         out[tag] = {name: res.report.blame_of(name) for name in WATCH}
     return out
 

@@ -15,6 +15,7 @@ Run:  python examples/advisor_tour.py
 from repro.analysis import analyze_module, rank_findings, render_findings
 from repro.bench.programs import minimd
 from repro.compiler.lower import compile_source
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 RACY = """
@@ -44,7 +45,7 @@ def main() -> None:
     print()
     banner("2) Blame-guided ranking: measured hotness reorders the advice")
     result = Profiler(
-        original, filename="minimd.chpl", num_threads=4, threshold=9973
+        original, RunConfig(num_threads=4, threshold=9973), filename="minimd.chpl"
     ).profile()
     ranked = rank_findings(findings, result.report)
     for f in ranked[:6]:

@@ -10,7 +10,7 @@ Run:  python examples/compare_profilers.py
 
 from repro.baselines.hpctk import HpctkAttributor, render_hpctk
 from repro.baselines.pprof import render_pprof
-from repro.tooling import Profiler
+from repro import Profiler, RunConfig
 from repro.views import render_data_centric
 
 SOURCE = """
@@ -50,7 +50,7 @@ def main() -> None:
     # The baselines read the raw sample stream; the tap collects it.
     samples = []
     result = Profiler(
-        SOURCE, filename="nested.chpl", num_threads=8, threshold=1009
+        SOURCE, RunConfig(num_threads=8, threshold=1009), filename="nested.chpl"
     ).profile(tap=samples.extend)
 
     print("=" * 72)

@@ -11,9 +11,11 @@ Run:  python examples/extensions_tour.py
 
 import os
 import tempfile
+from dataclasses import replace
 
 from repro.blame.options import FULL
 from repro.compiler.lower import compile_source
+from repro.run_config import RunConfig
 from repro.sampling.dataset import DatasetHeader, save_samples, source_digest
 from repro.tooling.analyze import analyze_dataset
 from repro.tooling.profiler import Profiler
@@ -51,9 +53,8 @@ def main() -> None:
     print("1) Iterators: blame attributes the iterator's work in main")
     print("=" * 72)
     samples = []
-    res = Profiler(module, num_threads=8, threshold=809).profile(
-        tap=samples.extend
-    )
+    run = RunConfig(num_threads=8, threshold=809)
+    res = Profiler(module, run).profile(tap=samples.extend)
     print(render_data_centric(res.report, top=8, min_blame=0.02))
 
     print()
@@ -65,7 +66,7 @@ def main() -> None:
         ("skid=12", {"skid": 12}),
         ("skid=12 + compensation", {"skid": 12, "skid_compensation": True}),
     ]:
-        r = Profiler(module, num_threads=8, threshold=809, **kw).profile()
+        r = Profiler(module, replace(run, **kw)).profile()
         print(
             f"  {tag:24s} histogram={100*r.report.blame_of('histogram'):5.1f}%  "
             f"samples(var)={100*r.report.blame_of('samples'):5.1f}%"
@@ -102,9 +103,7 @@ def main() -> None:
         ("no implicit iterable", FULL.without(implicit_iterable=False)),
         ("no implicit control", FULL.without(implicit_control=False)),
     ]:
-        r = Profiler(
-            module, num_threads=8, threshold=809, blame_options=opts
-        ).profile()
+        r = Profiler(module, replace(run, blame_options=opts)).profile()
         print(
             f"  {tag:22s} samples(var)={100*r.report.blame_of('samples'):5.1f}%  "
             f"histogram={100*r.report.blame_of('histogram'):5.1f}%"

@@ -22,6 +22,7 @@ Run:  python examples/irregular_advisor_tour.py
 from repro.analysis import AnalysisContext, Locality, analyze_module, rank_findings
 from repro.bench.programs import mttkrp, spmv
 from repro.compiler.lower import compile_source
+from repro.run_config import RunConfig
 from repro.runtime.locales import LocaleObserver
 from repro.tooling.profiler import Profiler
 
@@ -62,10 +63,8 @@ def main() -> None:
     findings = comm_findings(module)
     result = Profiler(
         original,
+        RunConfig(config=spmv.config_for(iters=6), num_threads=8, threshold=997),
         filename="spmv.chpl",
-        config=spmv.config_for(iters=6),
-        num_threads=8,
-        threshold=997,
     ).profile()
     for f in rank_findings(findings, result.report):
         pct = (

@@ -9,6 +9,7 @@ program-wide report. An HTML report of locale 0 is also written.
 Run:  python examples/multilocale_aggregation.py
 """
 
+from repro.run_config import RunConfig
 from repro.tooling.multilocale import profile_locales
 from repro.views import render_data_centric
 from repro.views.html import write_html_report
@@ -40,7 +41,7 @@ proc main() {
 
 def main() -> None:
     result = profile_locales(
-        SOURCE, num_locales=4, num_threads=4, threshold=1013
+        SOURCE, num_locales=4, run=RunConfig(num_threads=4, threshold=1013)
     )
 
     for res in result.per_locale:

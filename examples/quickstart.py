@@ -7,7 +7,7 @@ pipeline (static analysis → sampled execution → post-mortem →
 presentation), and prints the three views of paper §IV.D.
 """
 
-from repro.tooling import Profiler
+from repro import Profiler, RunConfig
 from repro.views import render_code_centric, render_data_centric, render_hybrid
 
 SOURCE = """
@@ -58,12 +58,11 @@ proc main() {
 
 
 def main() -> None:
-    profiler = Profiler(
-        SOURCE,
-        filename="quickstart.chpl",
+    run = RunConfig(
         num_threads=8,       # the simulated SMP width
         threshold=2003,      # PMU overflow threshold (prime)
     )
+    profiler = Profiler(SOURCE, run, filename="quickstart.chpl")
     result = profiler.profile()
 
     print("program output:")

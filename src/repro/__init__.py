@@ -6,7 +6,7 @@ Public API tour:
 * :func:`repro.compile_source` — mini-Chapel source -> IR module;
 * :class:`repro.Profiler` (``repro.tooling``) — the four-step pipeline:
   static blame analysis, sampled execution, post-mortem processing,
-  presentation;
+  presentation — configured by one :class:`repro.RunConfig`;
 * :mod:`repro.views` — flat data-centric / code-centric / hybrid views;
 * :mod:`repro.baselines` — pprof-style and HPCToolkit-style comparators;
 * :mod:`repro.bench` — the paper's three benchmarks (MiniMD, CLOMP,
@@ -25,6 +25,8 @@ _EXPORTS = {
     "ProfileResult": "repro.tooling.profiler",
     "Profiler": "repro.tooling.profiler",
     "run_only": "repro.tooling.profiler",
+    "AdaptiveConfig": "repro.run_config",
+    "RunConfig": "repro.run_config",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

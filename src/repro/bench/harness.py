@@ -10,18 +10,16 @@ functions, so the tables can also be produced interactively::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..compiler.lower import compile_source
+from ..run_config import RunConfig
 from ..tooling.profiler import ProfileResult, Profiler, run_only
 from ..views.tables import render_table
 from .programs import clomp, lulesh, minimd
 
-#: Worker threads for all experiments (the paper's 12-core Xeon).
-NUM_THREADS = 12
-
-#: PMU overflow threshold (prime) used by the blame-profile experiments.
-PROFILE_THRESHOLD = 4999
+#: The run every blame-profile experiment uses: the default 12 worker
+#: threads (the paper's 12-core Xeon) and a prime PMU threshold.
+PROFILE_RUN = RunConfig(threshold=4999)
 
 
 def available_cpus() -> int:
@@ -73,26 +71,14 @@ class SpeedupResult:
         return self.rows[optimized].speedup_vs(self.rows[original])
 
 
-def time_variant(
-    source: str,
-    name: str,
-    config: dict[str, object] | None = None,
-    fast: bool = False,
-    num_threads: int = NUM_THREADS,
-) -> float:
+def time_variant(source: str, name: str, run: RunConfig = RunConfig()) -> float:
     """Simulated seconds of one run.
 
     Prefers the benchmark's own "elapsed" self-timer line (which, like
     the paper's benchmarks, excludes initialization); falls back to the
     whole-run wall clock.
     """
-    result = run_only(
-        source,
-        filename=name,
-        config=config,
-        num_threads=num_threads,
-        fast=fast,
-    )
+    result = run_only(source, run, filename=name)
     for line in reversed(result.output):
         if line.startswith("elapsed"):
             return float(line.split()[-1])
@@ -100,24 +86,11 @@ def time_variant(
 
 
 def profile_variant(
-    source: str,
-    name: str,
-    config: dict[str, object] | None = None,
-    fast: bool = False,
-    num_threads: int = NUM_THREADS,
-    threshold: int = PROFILE_THRESHOLD,
-    tap=None,
+    source: str, name: str, run: RunConfig = PROFILE_RUN, tap=None
 ) -> ProfileResult:
     """Full blame profile of one run (``tap`` as in
     :meth:`~repro.tooling.profiler.Profiler.profile`)."""
-    return Profiler(
-        source,
-        filename=name,
-        config=config,
-        num_threads=num_threads,
-        threshold=threshold,
-        fast=fast,
-    ).profile(tap=tap)
+    return Profiler(source, run, filename=name).profile(tap=tap)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +100,8 @@ def profile_variant(
 
 def minimd_profile(optimized: bool = False, **cfg) -> ProfileResult:
     source = minimd.build_source(optimized=optimized)
-    return profile_variant(source, "minimd.chpl", config=minimd.config_for(**cfg))
+    run = replace(PROFILE_RUN, config=minimd.config_for(**cfg))
+    return profile_variant(source, "minimd.chpl", run)
 
 
 def minimd_speedups(**cfg) -> SpeedupResult:
@@ -138,9 +112,8 @@ def minimd_speedups(**cfg) -> SpeedupResult:
         for optimized in (False, True):
             label = f"{'opt' if optimized else 'orig'}{'/fast' if fast else ''}"
             src = minimd.build_source(optimized=optimized)
-            out.rows[label] = TimingRow(
-                label, time_variant(src, "minimd.chpl", config=config, fast=fast)
-            )
+            run = RunConfig(config=config, fast=fast)
+            out.rows[label] = TimingRow(label, time_variant(src, "minimd.chpl", run))
     return out
 
 
@@ -151,9 +124,8 @@ def minimd_speedups(**cfg) -> SpeedupResult:
 
 def clomp_profile(optimized: bool = False, tap=None, **cfg) -> ProfileResult:
     source = clomp.build_source(optimized=optimized)
-    return profile_variant(
-        source, "clomp.chpl", config=clomp.config_for(**cfg), tap=tap
-    )
+    run = replace(PROFILE_RUN, config=clomp.config_for(**cfg))
+    return profile_variant(source, "clomp.chpl", run, tap=tap)
 
 
 def clomp_speedups_for_shape(
@@ -165,9 +137,8 @@ def clomp_speedups_for_shape(
         for optimized in (False, True):
             label = f"{'opt' if optimized else 'orig'}{'/fast' if fast else ''}"
             src = clomp.build_source(optimized=optimized)
-            out.rows[label] = TimingRow(
-                label, time_variant(src, "clomp.chpl", config=config, fast=fast)
-            )
+            run = RunConfig(config=config, fast=fast)
+            out.rows[label] = TimingRow(label, time_variant(src, "clomp.chpl", run))
     return out
 
 
@@ -188,18 +159,16 @@ def lulesh_profile(
     variant: lulesh.LuleshVariant | None = None, tap=None, **cfg
 ) -> ProfileResult:
     source = lulesh.build_source(variant)
-    return profile_variant(
-        source, "lulesh.chpl", config=lulesh.config_for(**cfg), tap=tap
-    )
+    run = replace(PROFILE_RUN, config=lulesh.config_for(**cfg))
+    return profile_variant(source, "lulesh.chpl", run, tap=tap)
 
 
 def lulesh_time(
     variant: lulesh.LuleshVariant | None = None, fast: bool = False, **cfg
 ) -> float:
     source = lulesh.build_source(variant)
-    return time_variant(
-        source, "lulesh.chpl", config=lulesh.config_for(**cfg), fast=fast
-    )
+    run = RunConfig(config=lulesh.config_for(**cfg), fast=fast)
+    return time_variant(source, "lulesh.chpl", run)
 
 
 def lulesh_table_vii(**cfg) -> list[tuple[str, float, float]]:

@@ -5,15 +5,10 @@ The paper's per-variable blame percentages (Tables II-VI) are binomial
 proportions: of ``n`` attributed user samples, ``k`` landed on this
 variable.  This module puts intervals around those proportions so the
 adaptive collection loop (:mod:`repro.sampling.adaptive`) can decide
-*online* whether the ranking is statistically settled:
-
-* :func:`wilson_interval` — the Wilson score interval, the default.
-  Closed-form, well-behaved at the extremes (k=0, k=n) where the naive
-  normal interval collapses, and deterministic (no resampling noise).
-* :func:`bootstrap_interval` — a seeded percentile bootstrap over the
-  per-sample blame indicator (multinomial resampling of the stream
-  collapsed to the one variable's hit count).  Slower, assumption-free;
-  exposed for validation and as the ``method="bootstrap"`` knob.
+*online* whether the ranking is statistically settled.  They are
+Wilson score intervals (:func:`wilson_interval`): closed-form,
+well-behaved at the extremes (k=0, k=n) where the naive normal
+interval collapses, and deterministic (no resampling noise).
 
 Degraded telemetry never *narrows* an interval: samples the post-mortem
 quarantined or is still holding back as unresolved candidates carry
@@ -31,19 +26,11 @@ clean and a degraded run.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from statistics import NormalDist
 
 from ..blame.report import UNKNOWN_BUCKET, BlameReport
 from ..resilience.stability import kendall_tau, top_n_overlap
-
-#: Interval methods :func:`blame_intervals` accepts.
-METHODS = ("wilson", "bootstrap")
-
-#: Resamples for the percentile bootstrap (kept modest: the bootstrap
-#: exists for validation; the wilson path is the production default).
-BOOTSTRAP_RESAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -101,35 +88,6 @@ def wilson_interval(
     return (max(0.0, center - spread), min(1.0, center + spread))
 
 
-def bootstrap_interval(
-    k: int,
-    n: int,
-    confidence: float = 0.95,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap for a binomial proportion.
-
-    Each resample redraws the ``n`` per-sample blame indicators with
-    replacement (equivalently: the variable's cell of a multinomial
-    resample of the stream) and records the resampled share; the
-    interval is the matching percentile band.  Deterministic for a
-    given ``seed``.
-    """
-    if n <= 0:
-        return (0.0, 1.0)
-    p = k / n
-    rng = random.Random(seed)
-    shares = sorted(
-        sum(1 for _ in range(n) if rng.random() < p) / n
-        for _ in range(resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo_ix = min(resamples - 1, max(0, int(alpha * resamples)))
-    hi_ix = min(resamples - 1, max(0, int((1.0 - alpha) * resamples) - 1))
-    return (shares[lo_ix], shares[hi_ix])
-
-
 def widen_interval(
     lo: float, hi: float, degraded: int, n: int
 ) -> tuple[float, float]:
@@ -154,8 +112,6 @@ def blame_intervals(
     confidence: float = 0.95,
     top_n: int = 5,
     degraded: int = 0,
-    method: str = "wilson",
-    seed: int = 0,
 ) -> list[BlameInterval]:
     """Intervals for the report's top-``top_n`` ranked variables.
 
@@ -163,20 +119,13 @@ def blame_intervals(
     ``degraded`` feeds :func:`widen_interval`.  The ``<unknown>`` bucket
     is skipped — it *is* the degradation, not a variable.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
     out: list[BlameInterval] = []
     for row in report.rows:
         if row.name == UNKNOWN_BUCKET:
             continue
         if len(out) >= top_n:
             break
-        if method == "bootstrap":
-            lo, hi = bootstrap_interval(
-                row.samples, total, confidence, seed=seed + len(out)
-            )
-        else:
-            lo, hi = wilson_interval(row.samples, total, confidence)
+        lo, hi = wilson_interval(row.samples, total, confidence)
         lo, hi = widen_interval(lo, hi, degraded, total)
         out.append(
             BlameInterval(

@@ -29,10 +29,9 @@ as the monitor hands them over and call :meth:`~PostmortemConsumer.finish`
 once, so no stage ever needs the whole ``list[RawSample]`` resident.
 The recovery evidence (spawn-tag index, continuation suffixes) is
 accumulated incrementally from intact instances as they are emitted;
-degraded candidates wait in a held-back buffer that the
-``evidence_window`` parameter bounds.  :func:`process_samples` is the
-one-shot wrapper (one batch, unbounded window) and behaves exactly as
-it always has.
+degraded candidates wait in a held-back buffer until ``finish()``.
+:func:`process_samples` is the one-shot wrapper (one batch) and
+behaves exactly as it always has.
 
 Consolidation is done **once per distinct call path**: everything the
 first pass derives from a sample's ``(stack, pre_spawn_stack,
@@ -196,13 +195,9 @@ class PostmortemConsumer:
     * intact samples are consolidated and released immediately — only
       the emitted :class:`Instance` (and the deduplicated recovery
       evidence derived from it) survives the batch;
-    * degraded samples wait in a held-back candidate buffer.
-      ``evidence_window`` bounds that buffer: when more than this many
-      candidates are pending, the oldest are resolved early against the
-      evidence collected so far (best-effort — evidence that would only
-      arrive later in the run cannot repair an early-flushed sample).
-      ``None`` (the default) holds all candidates to the end, matching
-      the one-shot semantics exactly;
+    * degraded samples wait in a held-back candidate buffer until
+      :meth:`finish`, so evidence from anywhere in the run can repair
+      them, as in the one-shot semantics;
     * idle/runtime samples are counted and dropped (the views only use
       the count);
     * the per-path memo holds one first-pass outcome per distinct call
@@ -214,16 +209,12 @@ class PostmortemConsumer:
         module: Module,
         options: object | None = None,
         tolerant: bool = False,
-        evidence_window: int | None = None,
     ) -> None:
         from .options import FULL
 
         self.module = module
         self.options = options or FULL
         self.tolerant = tolerant
-        if evidence_window is not None and evidence_window < 1:
-            raise ValueError("evidence_window must be >= 1 (or None)")
-        self.evidence_window = evidence_window
 
         self._resolver = StackResolver(module)
         self._instances: list[Instance] = []
@@ -276,19 +267,6 @@ class PostmortemConsumer:
             raise RuntimeError("PostmortemConsumer.feed() after finish()")
         for s in batch:
             self._consume(s)
-        if (
-            self.evidence_window is not None
-            and len(self._candidates) > self.evidence_window
-        ):
-            # Bounded evidence window: resolve the overflow (oldest
-            # first) against whatever evidence exists right now.
-            overflow = len(self._candidates) - self.evidence_window
-            flush, self._candidates = (
-                self._candidates[:overflow],
-                self._candidates[overflow:],
-            )
-            for s, path in flush:
-                self._n_late_recovered += self._resolve_candidate(s, path)
 
     def finish(self) -> PostmortemResult:
         """Resolves remaining candidates and returns the result."""

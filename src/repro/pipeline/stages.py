@@ -38,9 +38,10 @@ from ..blame.report import BlameReport, RunStats, build_rows
 from ..blame.static_info import ModuleBlameInfo
 from ..compiler.lower import compile_source
 from ..ir.module import Module
+from ..run_config import RunConfig
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor, StopSampling
-from ..sampling.pmu import DEFAULT_THRESHOLD, PMUConfig
+from ..sampling.pmu import PMUConfig
 from ..sampling.records import RawSample
 from ..views import VIEWS, render_stage  # noqa: F401  re-exported: step 4b
 
@@ -84,12 +85,12 @@ class Collection:
 def collect_stage(
     module: Module,
     config: dict[str, object] | None = None,
-    num_threads: int = 12,
-    threshold: int = DEFAULT_THRESHOLD,
+    num_threads: int = RunConfig.num_threads,
+    threshold: int = RunConfig.threshold,
     skid: int = 0,
     skid_compensation: bool = False,
     sink=None,
-    batch_size: int = 256,
+    batch_size: int = RunConfig.batch_size,
 ) -> Collection:
     """Step 2 — execution under the monitor.
 
@@ -151,8 +152,6 @@ def aggregate_stage(
     stackwalk_cycles: float = 0.0,
     postmortem_seconds: float = 0.0,
     monitor_quarantine: dict[str, int] | None = None,
-    min_blame: float = 0.0,
-    include_temps: bool = False,
 ) -> BlameReport:
     """Step 4a — assemble the presentation-ready report.
 
@@ -178,12 +177,7 @@ def aggregate_stage(
         quarantine_reasons[reason] = quarantine_reasons.get(reason, 0) + n
     return BlameReport(
         program=program,
-        rows=build_rows(
-            attribution,
-            min_blame=min_blame,
-            include_temps=include_temps,
-            unknown_samples=pm.n_unknown,
-        ),
+        rows=build_rows(attribution, unknown_samples=pm.n_unknown),
         stats=stats,
         unknown_by_reason=pm.unknown_by_reason(),
         quarantine_by_reason=quarantine_reasons,

@@ -6,7 +6,7 @@ This module adds the control loop the ROADMAP calls "the biggest
 wall-clock lever for serving profile requests at interactive latency":
 
 * the :class:`Monitor` delivers samples in **rounds** (its sink-mode
-  batches, ``round_samples`` per round);
+  batches of the run's ``batch_size``);
 * each round is fed through the (optionally fault-degraded) stream into
   the streaming :class:`~repro.blame.postmortem.PostmortemConsumer`,
   and only the **newly consolidated instances** are attributed — the
@@ -14,17 +14,17 @@ wall-clock lever for serving profile requests at interactive latency":
   :func:`~repro.blame.attribution.merge_attributions`, so a checkpoint
   costs the delta, not a re-pass;
 * the **stopping rule** then checks the interim report: every top-N
-  blame share's confidence interval (Wilson by default — see
-  :mod:`repro.blame.confidence`) has half-width ≤ ``ci_width``, the
-  top-N set matches the previous checkpoint exactly, and Kendall-τ
-  against it is ≥ ``tau_min`` — for ``stability_window`` *consecutive*
-  checkpoints.  A **half-stream guard** additionally requires the
-  current ranking to agree with the checkpoint taken at half the
-  current sample count: consecutive checkpoints of a cumulative
-  estimate always look locally stable, so without the guard a
-  phase-structured program (LULESH's timestep loop) could stop inside
-  its first phase — the half-stream comparison only passes once the
-  ranking has survived a doubling of the evidence;
+  blame share's Wilson interval (see :mod:`repro.blame.confidence`)
+  has half-width ≤ ``ci_width``, the top-N set matches the previous
+  checkpoint exactly, and Kendall-τ against it is ≥ :data:`TAU_MIN` —
+  for ``stability_window`` *consecutive* checkpoints.  A
+  **half-stream guard** additionally requires the current ranking to
+  agree with the checkpoint taken at half the current sample count:
+  consecutive checkpoints of a cumulative estimate always look
+  locally stable, so without the guard a phase-structured program
+  (LULESH's timestep loop) could stop inside its first phase — the
+  half-stream comparison only passes once the ranking has survived a
+  doubling of the evidence;
 * when the rule fires, :exc:`StopSampling` is raised out of the sink,
   unwinds the interpreter (both engines deliver PMU overflows outside
   their error-wrapping regions, so the exception propagates cleanly),
@@ -48,12 +48,7 @@ from ..blame.attribution import (
     BlameAttributor,
     merge_attributions,
 )
-from ..blame.confidence import (
-    METHODS,
-    blame_intervals,
-    max_half_width,
-    rank_agreement,
-)
+from ..blame.confidence import blame_intervals, max_half_width, rank_agreement
 from ..blame.report import BlameReport, RunStats, build_rows
 from .monitor import StopSampling
 
@@ -61,48 +56,10 @@ from .monitor import StopSampling
 REASON_SETTLED = "ranking-settled"
 REASON_EXHAUSTED = "stream-exhausted"
 
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs of the stopping rule (CLI flags map 1:1 onto these)."""
-
-    confidence: float = 0.95
-    #: Max CI half-width on each top-N blame share before it counts as
-    #: settled.
-    ci_width: float = 0.02
-    #: Consecutive settled checkpoints required before stopping.
-    stability_window: int = 3
-    #: Rows whose intervals and ranking the rule watches.
-    top_n: int = 5
-    #: Samples per round (the monitor's sink batch size).
-    round_samples: int = 256
-    #: Rounds that must elapse before the rule may fire at all.
-    min_rounds: int = 2
-    #: Kendall-τ floor between consecutive checkpoints.
-    tau_min: float = 0.9
-    #: Interval method: "wilson" (deterministic) or "bootstrap" (seeded).
-    method: str = "wilson"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1) (got {self.confidence})"
-            )
-        if not 0.0 < self.ci_width < 1.0:
-            raise ValueError(
-                f"ci_width must be in (0, 1) (got {self.ci_width})"
-            )
-        if self.stability_window < 1:
-            raise ValueError("stability_window must be >= 1")
-        if self.round_samples < 1:
-            raise ValueError("round_samples must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(
-                f"unknown method {self.method!r} (want one of {METHODS})"
-            )
+#: Rows whose intervals and ranking the rule watches.
+TOP_N = 5
+#: Kendall-τ floor between checkpoints (previous and half-stream).
+TAU_MIN = 0.9
 
 
 @dataclass(frozen=True)
@@ -166,9 +123,7 @@ class AdaptiveTrail:
     confidence: float = 0.95
     ci_width: float = 0.02
     stability_window: int = 3
-    top_n: int = 5
     round_samples: int = 256
-    method: str = "wilson"
     #: Samples the full run would have taken, when a baseline is known
     #: (benchmarks fill this in; live runs cannot know it).
     samples_total: int | None = None
@@ -185,9 +140,11 @@ class AdaptiveTrail:
             "confidence": self.confidence,
             "ci_width": self.ci_width,
             "stability_window": self.stability_window,
-            "top_n": self.top_n,
+            # ``top_n`` and ``method`` are constants; the ``a`` record's
+            # schema keeps them.
+            "top_n": TOP_N,
             "round_samples": self.round_samples,
-            "method": self.method,
+            "method": "wilson",
         }
         if self.samples_total is not None:
             out["samples_total"] = self.samples_total
@@ -203,9 +160,7 @@ class AdaptiveTrail:
             confidence=d.get("confidence", 0.95),
             ci_width=d.get("ci_width", 0.02),
             stability_window=d.get("stability_window", 3),
-            top_n=d.get("top_n", 5),
             round_samples=d.get("round_samples", 256),
-            method=d.get("method", "wilson"),
             samples_total=d.get("samples_total"),
         )
 
@@ -216,14 +171,16 @@ class AdaptiveController:
     Wire-up (the profiler does this; tests can too)::
 
         consumer = PostmortemConsumer(module, tolerant=True, ...)
-        ctl = AdaptiveController(cfg, static_info, consumer,
+        ctl = AdaptiveController(run, static_info, consumer,
                                  degrade=injector.degrader(), program=...)
         coll = collect_stage(module, sink=ctl.sink,
-                             batch_size=cfg.round_samples)
+                             batch_size=run.batch_size)
         pm, attribution = ctl.finish()  # == attribute(pm.instances) exactly
 
-    The monitor delivers full rounds while the program runs; only the
-    flush that ends a completed run delivers a shorter one.  That final
+    ``run`` is the run's :class:`~repro.run_config.RunConfig`: its
+    ``adaptive`` rule, and its ``batch_size`` as the round size.  The
+    monitor delivers full rounds while the program runs; only the flush
+    that ends a completed run delivers a shorter one.  That final
     partial round is recorded but never stops the run.
 
     Incremental-attribution invariant: ``finish()`` attributes the
@@ -236,28 +193,24 @@ class AdaptiveController:
 
     def __init__(
         self,
-        config: AdaptiveConfig,
+        run,
         static_info,
         consumer,
         degrade=None,
         program: str = "",
-        include_temps: bool = False,
     ) -> None:
-        config.validate()
-        self.config = config
+        self.config = config = run.adaptive
+        self.round_samples = run.batch_size
         self.consumer = consumer
         self.degrade = degrade
         self.program = program
-        self.include_temps = include_temps
         self.attributor = BlameAttributor(static_info)
         self.trail = AdaptiveTrail(
             stop_reason=REASON_EXHAUSTED,
             confidence=config.confidence,
             ci_width=config.ci_width,
             stability_window=config.stability_window,
-            top_n=config.top_n,
-            round_samples=config.round_samples,
-            method=config.method,
+            round_samples=run.batch_size,
         )
         self._attribution: AttributionResult | None = None
         self._n_attributed = 0
@@ -292,10 +245,7 @@ class AdaptiveController:
         assert attr is not None
         return BlameReport(
             program=self.program,
-            rows=build_rows(
-                attr, min_blame=0.0, include_temps=self.include_temps,
-                unknown_samples=0,
-            ),
+            rows=build_rows(attr, unknown_samples=0),
             stats=RunStats(
                 total_raw_samples=self._n_fed,
                 user_samples=attr.total_samples,
@@ -317,16 +267,12 @@ class AdaptiveController:
             report,
             total=self._attribution.total_samples,
             confidence=cfg.confidence,
-            top_n=cfg.top_n,
+            top_n=TOP_N,
             degraded=degraded,
-            method=cfg.method,
-            seed=cfg.seed + len(self.trail.rounds),
         )
         hw = max_half_width(intervals)
         if self._prev_report is not None:
-            overlap, tau = rank_agreement(
-                self._prev_report, report, top_n=cfg.top_n
-            )
+            overlap, tau = rank_agreement(self._prev_report, report, top_n=TOP_N)
         else:
             overlap, tau = 0.0, 0.0
         # Half-stream guard: agreement with the checkpoint at ≤ half
@@ -338,7 +284,7 @@ class AdaptiveController:
                 break
         if half_report is not None:
             half_overlap, half_tau = rank_agreement(
-                half_report, report, top_n=cfg.top_n
+                half_report, report, top_n=TOP_N
             )
         else:
             half_overlap, half_tau = 0.0, 0.0
@@ -346,9 +292,9 @@ class AdaptiveController:
             self._prev_report is not None
             and bool(report.rows)
             and overlap == 1.0
-            and tau >= cfg.tau_min
+            and tau >= TAU_MIN
             and half_overlap == 1.0
-            and half_tau >= cfg.tau_min
+            and half_tau >= TAU_MIN
             and hw <= cfg.ci_width
         )
         self._streak = self._streak + 1 if stable else 0
@@ -373,7 +319,7 @@ class AdaptiveController:
         # A short round is the flush that ends a completed run: it is
         # recorded above but never stops anything.
         if (
-            len(batch) == cfg.round_samples
+            len(batch) == self.round_samples
             and n_round >= cfg.min_rounds
             and self._streak >= cfg.stability_window
         ):

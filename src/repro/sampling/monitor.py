@@ -87,8 +87,6 @@ class Monitor:
         sink=None,
         batch_size: int = 256,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.pmu = pmu or PMUConfig()
         self.samples: list[RawSample] = []
         self.quarantined: list[QuarantinedSample] = []

@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from types import SimpleNamespace
 
-from ..blame.attribution import BlameAttributor
-from ..blame.postmortem import process_samples
-from ..blame.report import BlameReport, RunStats, build_rows
-from ..blame.static_info import ModuleBlameInfo
 from ..compiler.lower import compile_source
 from ..errors import DatasetCorruptError
+from ..pipeline.stages import (
+    aggregate_stage,
+    analyze_stage,
+    attribute_stage,
+    postmortem_stage,
+)
 from ..sampling.dataset import read_dataset, source_digest
-from ..views.code_centric import render_code_centric
-from ..views.data_centric import render_data_centric
-from ..views.hybrid import render_hybrid
+from ..views import print_views
 
 
 class DatasetMismatch(Exception):
@@ -43,30 +44,21 @@ class DatasetMismatch(Exception):
 
 
 def analyze_dataset(
-    dataset_path: str,
-    source: str,
-    source_name: str = "program.chpl",
-    include_temps: bool = False,
-    min_blame: float = 0.0,
+    dataset_path: str, source: str, source_name: str = "program.chpl"
 ):
     """Re-runs steps 1+3 over a saved dataset (a journal's verified
     prefix); returns (module, postmortem, report)."""
     header, samples, _scan = read_dataset(dataset_path)
-    return analyze_samples(
-        header, samples, source, source_name, include_temps, min_blame
-    )
+    return analyze_samples(header, samples, source, source_name)
 
 
 def analyze_samples(
-    header,
-    samples,
-    source: str,
-    source_name: str = "program.chpl",
-    include_temps: bool = False,
-    min_blame: float = 0.0,
+    header, samples, source: str, source_name: str = "program.chpl"
 ):
-    """Steps 1+3 over a loaded dataset; returns (module, postmortem,
-    report)."""
+    """Steps 1+3 over a loaded dataset, through the pipeline's own
+    stages; returns (module, postmortem, report).  A dataset is the raw
+    stream from before any fault injection, so the tolerant post-mortem
+    treats it exactly as a strict one would."""
     digest = source_digest(source)
     if digest != header.source_sha256:
         raise DatasetMismatch(
@@ -75,20 +67,11 @@ def analyze_samples(
             f"to {digest[:12]}…"
         )
     module = compile_source(source, source_name, fresh_ids=True)
-    static_info = ModuleBlameInfo(module)
-    pm = process_samples(module, samples)
-    attribution = BlameAttributor(static_info).attribute(pm.instances)
-    stats = RunStats(
-        total_raw_samples=len(samples),
-        user_samples=pm.n_user,
-        runtime_samples=pm.n_runtime,
-    )
-    report = BlameReport(
-        program=header.program,
-        rows=build_rows(attribution, min_blame=min_blame, include_temps=include_temps),
-        stats=stats,
-        locale_id=header.locale_id,
-    )
+    static_info = analyze_stage(module)
+    pm = postmortem_stage(module, samples, options=static_info.options)
+    attribution = attribute_stage(static_info, pm)
+    report = aggregate_stage(header.program, pm, attribution, wall_seconds=0.0)
+    report.locale_id = header.locale_id
     return module, pm, report
 
 
@@ -122,15 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.view in ("data", "all"):
-        print(render_data_centric(report, top=args.top))
-        print()
-    if args.view in ("code", "all"):
-        print(render_code_centric(module, pm, top=args.top))
-        print()
-    if args.view in ("hybrid", "all"):
-        print(render_hybrid(report))
-        print()
+    print_views(
+        SimpleNamespace(report=report, module=module, postmortem=pm),
+        args.view,
+        args.top,
+    )
     if scan is not None:
         print(
             f"[{scan.n_good} journal records verified, "

@@ -3,10 +3,10 @@
 Usage::
 
     repro-profile profile program.chpl [-o run.cbp] [--batch-size N]
-        [--adaptive [--confidence C] [--ci-width W]]
-        [--save-samples PATH [--journal]]
+        [--adaptive [--confidence C] [--ci-width W] [--stability-window K]]
+        [--save-samples PATH [--journal]] [--inject-faults SPEC]
         [--threads N] [--threshold P] [--fast] [--view data|code|hybrid|all]
-        [--config name=value ...]
+        [--config name=value ...] [--fail-on-quarantine-rate X]
     repro-profile view run.cbp [--view data|code|hybrid|all] [--html PATH]
     repro-profile merge merged.cbp shard0.cbp shard1.cbp ...
     repro-profile diff before.cbp after.cbp
@@ -16,7 +16,9 @@ Usage::
 ``profile`` runs a program once, serially in one process, streaming
 its samples into post-mortem in batches of ``--batch-size`` as they
 are collected (``--save-samples --journal`` appends each batch to the
-journal the same way, so a killed run leaves its verified prefix), and
+journal the same way, so a killed run leaves its verified prefix;
+with ``--adaptive`` each batch is one round of the stopping rule, and
+``--round-samples`` is another spelling of ``--batch-size``), and
 can persist everything the presentation layer needs as a versioned
 ``.cbp`` artifact; ``view``
 re-renders any window from such an artifact — byte-identical to the
@@ -27,11 +29,15 @@ runs the static analysis suite (optimization advisor + forall race
 detector) and exits nonzero when any error-severity finding is
 reported, so it can gate CI.
 
+``profile`` and ``advise`` declare their run flags in one place and
+turn them into one :class:`~repro.run_config.RunConfig` per run, which
+is where every value is checked.
+
 Exit status: 0 on success; 1 for a damaged artifact or an
 error-severity ``advise`` finding; 2 for bad usage (an unknown
-command, a missing source, an option value out of range: one usage
-line, never a traceback) or an IR verification failure; 3 when
-``--fail-on-quarantine-rate`` trips.
+command, a missing source, an option value out of range or malformed:
+a usage line or one ``repro-`` line, never a traceback) or an IR
+verification failure; 3 when ``--fail-on-quarantine-rate`` trips.
 
 The historical single-command form (``repro-profile program.chpl ...``)
 still works: a first argument that names a file (or an option) is
@@ -44,7 +50,7 @@ import argparse
 import os
 import sys
 
-from ..errors import ArtifactError, SampleFormatError
+from ..errors import ArtifactError
 
 #: Subcommands `main` dispatches on.
 SUBCOMMANDS = ("profile", "view", "merge", "diff", "advise")
@@ -56,7 +62,8 @@ commands:
   profile SOURCE [-o ART.cbp]   run a program, print views, save an artifact
                                 (--adaptive stops collection early once the
                                 blame ranking settles; tune with --confidence,
-                                --ci-width, --stability-window, --round-samples)
+                                --ci-width, --stability-window, and the round
+                                size with --batch-size, alias --round-samples)
   view ART.cbp                  re-render views from a saved artifact
   merge OUT.cbp IN.cbp...       merge per-locale/per-run artifacts
   diff A.cbp B.cbp              blame-shift table between two artifacts
@@ -81,10 +88,12 @@ def tool_version() -> str:
 
 
 def _parse_config(pairs: list[str]) -> dict[str, object]:
+    """``--config name=value ...`` → {name: int | float | bool | str};
+    raises ``ValueError`` on an entry without ``=``."""
     out: dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"bad --config entry {pair!r} (want name=value)")
+            raise ValueError(f"bad --config entry {pair!r} (want name=value)")
         name, raw = pair.split("=", 1)
         value: object
         try:
@@ -141,21 +150,135 @@ def _load_artifact(path: str):
         raise SystemExit(1) from None
 
 
-def _print_views(profile, view: str, top: int) -> None:
-    """The shared presentation path: `profile` and `view` both print
-    through here, which is what keeps artifact renders byte-identical
-    to live ones."""
-    from ..views import render_stage
+def _add_run_flags(ap: argparse.ArgumentParser, profile: bool) -> None:
+    """Declares the run flags once: the ones `profile` and `advise`
+    share, plus (``profile``) the ones only `profile` takes, which
+    include the raw-sample tap.  Defaults come from
+    :class:`~repro.run_config.RunConfig`."""
+    from ..run_config import AdaptiveConfig, RunConfig
 
-    if view in ("data", "all"):
-        print(render_stage(profile, "data", top=top))
-        print()
-    if view in ("code", "all"):
-        print(render_stage(profile, "code", top=top))
-        print()
-    if view in ("hybrid", "all"):
-        print(render_stage(profile, "hybrid"))
-        print()
+    ap.add_argument(
+        "--threads", type=int, default=RunConfig.num_threads,
+        help="worker threads",
+    )
+    ap.add_argument(
+        "--threshold", type=int, default=RunConfig.threshold,
+        help="PMU overflow threshold",
+    )
+    ap.add_argument(
+        "--config", nargs="*", default=[], help="config overrides: name=value"
+    )
+    ap.add_argument(
+        "--inject-faults",
+        metavar="SPEC",
+        help="degrade the sample stream before post-mortem, e.g. "
+        "drop=0.1,truncate=0.1:3,tagloss=0.05,strip=0.1,seed=42",
+    )
+    ap.add_argument(
+        "--fail-on-quarantine-rate",
+        type=float,
+        metavar="X",
+        help="exit 3 when more than fraction X (in [0, 1]) of samples "
+        "were quarantined (telemetry-health gate for CI)",
+    )
+    if not profile:
+        return
+    ap.add_argument("--fast", action="store_true", help="compile with --fast pipeline")
+    ap.add_argument(
+        "--batch-size",
+        "--round-samples",
+        dest="batch_size",
+        type=int,
+        default=RunConfig.batch_size,
+        metavar="N",
+        help="samples per batch handed to post-mortem (bounds how many "
+        "are resident); with --adaptive, samples per round "
+        "(default: %(default)s)",
+    )
+    ap.add_argument(
+        "--adaptive",
+        action="store_true",
+        help="confidence-driven collection: profile in checkpointed "
+        "rounds and halt the run early once the blame ranking is "
+        "statistically settled (the decision trail rides in the "
+        "artifact and the views)",
+    )
+    ap.add_argument(
+        "--confidence",
+        type=float,
+        default=AdaptiveConfig.confidence,
+        metavar="C",
+        help="confidence level for the blame-share intervals, "
+        "exclusive (0, 1) (default: %(default)s)",
+    )
+    ap.add_argument(
+        "--ci-width",
+        type=float,
+        default=AdaptiveConfig.ci_width,
+        metavar="W",
+        help="stop once every top-N interval's half-width is at most "
+        "W, exclusive (0, 1) (default: %(default)s)",
+    )
+    ap.add_argument(
+        "--stability-window",
+        type=int,
+        default=AdaptiveConfig.stability_window,
+        metavar="K",
+        help="checkpoints in a row that must agree before stopping "
+        "(default: %(default)s)",
+    )
+    ap.add_argument(
+        "--save-samples",
+        metavar="PATH",
+        help="write the raw sample dataset (JSONL) for offline analysis "
+        "with python -m repro.tooling.analyze",
+    )
+    ap.add_argument(
+        "--journal",
+        action="store_true",
+        help="with --save-samples: write the checksummed journal format "
+        "(per-record CRC, appended while the program runs, so a killed "
+        "run leaves its verified prefix)",
+    )
+
+
+def _run_config(ap: argparse.ArgumentParser, args):
+    """The one validation of a `profile` or `advise` run: builds its
+    :class:`~repro.run_config.RunConfig`, turning every bad value into
+    exit 2 with a usage line.  The adaptive knobs are checked even
+    without ``--adaptive``, so a typo'd knob is never ignored."""
+    from ..run_config import AdaptiveConfig, RunConfig
+
+    rate = args.fail_on_quarantine_rate
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        ap.error(f"--fail-on-quarantine-rate must be in [0, 1] (got {rate})")
+    profile_only = {}
+    try:
+        if "batch_size" in args:  # the flags only `profile` declares
+            if args.journal and not args.save_samples:
+                ap.error("--journal needs --save-samples")
+            if args.fast and args.save_samples:
+                ap.error("--save-samples needs the unoptimized compile that "
+                         "repro-analyze rebuilds (drop --fast)")
+            adaptive = AdaptiveConfig(
+                confidence=args.confidence,
+                ci_width=args.ci_width,
+                stability_window=args.stability_window,
+            )
+            profile_only = dict(
+                fast=args.fast,
+                batch_size=args.batch_size,
+                adaptive=adaptive if args.adaptive else None,
+            )
+        return RunConfig(
+            config=_parse_config(args.config),
+            num_threads=args.threads,
+            threshold=args.threshold,
+            faults=args.inject_faults,
+            **profile_only,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
 
 
 def profile_main(argv: list[str]) -> int:
@@ -164,9 +287,7 @@ def profile_main(argv: list[str]) -> int:
         description="Data-centric (variable blame) profiler for mini-Chapel",
     )
     ap.add_argument("source", help="mini-Chapel source file")
-    ap.add_argument("--threads", type=int, default=12, help="worker threads")
-    ap.add_argument("--threshold", type=int, default=20011, help="PMU overflow threshold")
-    ap.add_argument("--fast", action="store_true", help="compile with --fast pipeline")
+    _add_run_flags(ap, profile=True)
     ap.add_argument(
         "--view",
         choices=["data", "code", "hybrid", "all", "none"],
@@ -174,9 +295,6 @@ def profile_main(argv: list[str]) -> int:
         help="which window to print (none: only write the artifact)",
     )
     ap.add_argument("--top", type=int, default=20, help="rows to display")
-    ap.add_argument(
-        "--config", nargs="*", default=[], help="config overrides: name=value"
-    )
     ap.add_argument(
         "--show-output", action="store_true", help="echo program writeln output"
     )
@@ -194,100 +312,13 @@ def profile_main(argv: list[str]) -> int:
         "sample batches as they fill (streaming is the default)",
     )
     ap.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        metavar="N",
-        help="samples per batch handed to post-mortem (bounds how many "
-        "are resident)",
-    )
-    ap.add_argument(
-        "--save-samples",
-        metavar="PATH",
-        help="write the raw sample dataset (JSONL) for offline analysis "
-        "with python -m repro.tooling.analyze",
-    )
-    ap.add_argument(
         "--html",
         metavar="PATH",
         help="also write a self-contained HTML report (the GUI analogue)",
     )
-    ap.add_argument(
-        "--journal",
-        action="store_true",
-        help="with --save-samples: write the checksummed journal format "
-        "(per-record CRC, appended while the program runs, so a killed "
-        "run leaves its verified prefix)",
-    )
-    ap.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        help="degrade the sample stream before post-mortem, e.g. "
-        "drop=0.1,truncate=0.1:3,tagloss=0.05,strip=0.1,seed=42",
-    )
-    ap.add_argument(
-        "--fail-on-quarantine-rate",
-        type=float,
-        metavar="X",
-        help="exit 3 when more than fraction X of samples were "
-        "quarantined (telemetry-health gate for CI)",
-    )
-    ap.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="confidence-driven collection: profile in checkpointed "
-        "rounds and halt the run early once the blame ranking is "
-        "statistically settled (the decision trail rides in the "
-        "artifact and the views)",
-    )
-    ap.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        metavar="C",
-        help="confidence level for the blame-share intervals, "
-        "exclusive (0, 1) (default: 0.95)",
-    )
-    ap.add_argument(
-        "--ci-width",
-        type=float,
-        default=0.02,
-        metavar="W",
-        help="stop once every top-N interval's half-width is at most "
-        "W, exclusive (0, 1) (default: 0.02)",
-    )
-    ap.add_argument(
-        "--stability-window",
-        type=int,
-        default=3,
-        metavar="K",
-        help="checkpoints in a row that must agree before stopping "
-        "(default: 3)",
-    )
-    ap.add_argument(
-        "--round-samples",
-        type=int,
-        default=256,
-        metavar="N",
-        help="samples collected per adaptive round (default: 256)",
-    )
     args = ap.parse_args(argv)
-
-    faults = _check_run_knobs(ap, args)
+    run = _run_config(ap, args)
     _check_top(ap, args)
-    if args.batch_size < 1:
-        ap.error(f"--batch-size must be >= 1 (got {args.batch_size})")
-    if args.fast and args.save_samples:
-        ap.error("--save-samples needs the unoptimized compile that "
-                 "repro-analyze rebuilds (drop --fast)")
-    if not 0.0 < args.confidence < 1.0:
-        ap.error(f"--confidence must be in (0, 1) exclusive (got {args.confidence})")
-    if not 0.0 < args.ci_width < 1.0:
-        ap.error(f"--ci-width must be in (0, 1) exclusive (got {args.ci_width})")
-    if args.stability_window < 1:
-        ap.error(f"--stability-window must be >= 1 (got {args.stability_window})")
-    if args.round_samples < 1:
-        ap.error(f"--round-samples must be >= 1 (got {args.round_samples})")
 
     try:
         with open(args.source) as f:
@@ -306,25 +337,7 @@ def profile_main(argv: list[str]) -> int:
     else:
         program = source
 
-    profiler = Profiler(
-        program,
-        filename=args.source,
-        config=_parse_config(args.config),
-        num_threads=args.threads,
-        threshold=args.threshold,
-        fast=args.fast,
-        faults=faults,
-    )
-    adaptive = None
-    if args.adaptive:
-        from ..sampling.adaptive import AdaptiveConfig
-
-        adaptive = AdaptiveConfig(
-            confidence=args.confidence,
-            ci_width=args.ci_width,
-            stability_window=args.stability_window,
-            round_samples=args.round_samples,
-        )
+    profiler = Profiler(program, run, filename=args.source)
     journal = saved = tap = None
     if args.save_samples:
         from ..sampling.dataset import (
@@ -337,8 +350,8 @@ def profile_main(argv: list[str]) -> int:
         header = DatasetHeader(
             program=args.source,
             source_sha256=source_digest(source),
-            threshold=args.threshold,
-            num_threads=args.threads,
+            threshold=run.threshold,
+            num_threads=run.num_threads,
         )
         if args.journal:
             journal = DatasetJournal(args.save_samples, header)
@@ -347,9 +360,7 @@ def profile_main(argv: list[str]) -> int:
             saved = []
             tap = saved.extend
     try:
-        result = profiler.profile(
-            batch_size=args.batch_size, adaptive=adaptive, tap=tap
-        )
+        result = profiler.profile(tap=tap)
     finally:
         if journal is not None:
             journal.close()
@@ -367,7 +378,7 @@ def profile_main(argv: list[str]) -> int:
         snapshot = snapshot_from_result(
             result,
             source_sha256=source_digest(source),
-            num_threads=args.threads,
+            num_threads=run.num_threads,
             canonical_timings=True,
         )
         write_artifact(args.output, snapshot)
@@ -378,7 +389,9 @@ def profile_main(argv: list[str]) -> int:
             print(line)
         print()
 
-    _print_views(result, args.view, args.top)
+    from ..views import print_views
+
+    print_views(result, args.view, args.top)
     if args.html:
         from ..views.html import write_html_report
 
@@ -424,6 +437,8 @@ def view_main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     _check_top(ap, args)
 
+    from ..views import print_views
+
     snapshot = _load_artifact(args.artifact)
     if args.meta:
         m = snapshot.meta
@@ -432,7 +447,7 @@ def view_main(argv: list[str]) -> int:
             f"locale {m.locale_id}, threads {m.num_threads}, "
             f"threshold {m.threshold}, written by {m.created_by or '?'}]"
         )
-    _print_views(snapshot, args.view, args.top)
+    print_views(snapshot, args.view, args.top)
     if args.html:
         from ..views.html import write_html_report
 
@@ -468,11 +483,15 @@ def merge_main(argv: list[str]) -> int:
     args = ap.parse_args(argv)
     _check_top(ap, args)
 
+    try:
+        missing = tuple(
+            int(tok) for tok in args.missing_locales.split(",") if tok.strip()
+        )
+    except ValueError:
+        ap.error(f"--missing-locales wants comma-separated locale ids "
+                 f"(got {args.missing_locales!r})")
     from ..artifact import merge_snapshots, write_artifact
 
-    missing = tuple(
-        int(tok) for tok in args.missing_locales.split(",") if tok.strip()
-    )
     snapshots = [_load_artifact(p) for p in args.inputs]
     try:
         merged = merge_snapshots(
@@ -489,7 +508,9 @@ def merge_main(argv: list[str]) -> int:
         + "]"
     )
     if args.view != "none":
-        _print_views(merged, args.view, args.top)
+        from ..views import print_views
+
+        print_views(merged, args.view, args.top)
     return 0
 
 
@@ -584,29 +605,13 @@ def _check_top(ap: argparse.ArgumentParser, args) -> None:
         ap.error(f"--top must be >= 1 (got {args.top})")
 
 
-def _check_run_knobs(ap: argparse.ArgumentParser, args) -> "object | None":
-    """Exit-2 checks on the run knobs `profile` and `advise` share;
-    returns the parsed ``--inject-faults`` plan (None when not given)."""
-    if args.threads < 1:
-        ap.error(f"--threads must be >= 1 (got {args.threads})")
-    if args.threshold < 1:
-        ap.error(f"--threshold must be >= 1 (got {args.threshold})")
-    if not args.inject_faults:
-        return None
-    from ..resilience.faults import FaultPlan
-
-    try:
-        return FaultPlan.parse(args.inject_faults)
-    except SampleFormatError as exc:
-        ap.error(f"--inject-faults: {exc}")
-
-
 def _benchmark_source(spec: str) -> tuple[str, str]:
     """Resolves ``name[:variant]`` to (source text, display filename).
 
     Variants: ``original`` (default) and ``optimized`` for every
     benchmark; LULESH additionally accepts ``cenn`` and ``vg`` for the
-    single-optimization variants, SpMV a ``dense`` baseline.
+    single-optimization variants, SpMV a ``dense`` baseline.  Raises
+    ``ValueError`` on an unknown name or variant.
     """
     name, _, variant = spec.partition(":")
     variant = variant or "original"
@@ -616,14 +621,14 @@ def _benchmark_source(spec: str) -> tuple[str, str]:
         else:
             from ..bench.programs import mttkrp as irr
         if variant not in irr.VARIANTS:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown {name} variant {variant!r} "
                 f"(want {'|'.join(irr.VARIANTS)})"
             )
         return irr.build_source(variant), f"{name}.chpl"
     if name in ("minimd", "clomp"):
         if variant not in ("original", "optimized"):
-            raise SystemExit(
+            raise ValueError(
                 f"unknown {name} variant {variant!r} (want original|optimized)"
             )
         if name == "minimd":
@@ -644,12 +649,12 @@ def _benchmark_source(spec: str) -> tuple[str, str]:
             "vg": lulesh.VG_ONLY,
         }
         if variant not in variants:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown lulesh variant {variant!r} "
                 f"(want {'|'.join(variants)})"
             )
         return lulesh.build_source(variants[variant]), "lulesh.chpl"
-    raise SystemExit(
+    raise ValueError(
         f"unknown benchmark {name!r} (want minimd|clomp|lulesh|spmv|mttkrp)"
     )
 
@@ -659,7 +664,8 @@ def advise_main(argv: list[str] | None = None) -> int:
 
     Exit status: 0 when no error-severity findings, 1 when the race
     detector (or any error-level rule) fires — the CI-gate contract —
-    and 2 when the module fails IR verification.
+    and 2 for bad usage or when the module fails IR verification.  The
+    run flags apply with ``--profile``.
     """
     from ..analysis import (
         Severity,
@@ -706,34 +712,24 @@ def advise_main(argv: list[str] | None = None) -> int:
         help="hide findings below this severity (exit status still "
         "reflects all findings)",
     )
-    ap.add_argument("--threads", type=int, default=12, help="worker threads for --profile")
-    ap.add_argument("--threshold", type=int, default=20011, help="PMU overflow threshold for --profile")
-    ap.add_argument(
-        "--config", nargs="*", default=[], help="config overrides: name=value"
-    )
-    ap.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        help="with --profile: degrade the sample stream before "
-        "post-mortem (see repro-profile --inject-faults)",
-    )
-    ap.add_argument(
-        "--fail-on-quarantine-rate",
-        type=float,
-        metavar="X",
-        help="with --profile: exit 3 when more than fraction X of "
-        "samples were quarantined",
-    )
+    _add_run_flags(ap, profile=False)
     args = ap.parse_args(argv)
 
     if (args.source is None) == (args.benchmark is None):
         ap.error("give exactly one of SOURCE or --benchmark")
-    faults = _check_run_knobs(ap, args)
+    run = _run_config(ap, args)
     if args.benchmark:
-        source, filename = _benchmark_source(args.benchmark)
+        try:
+            source, filename = _benchmark_source(args.benchmark)
+        except ValueError as exc:
+            ap.error(str(exc))
     else:
-        with open(args.source) as f:
-            source = f.read()
+        try:
+            with open(args.source) as f:
+                source = f.read()
+        except OSError as exc:
+            print(f"repro-advise: {exc}", file=sys.stderr)
+            return 2
         filename = args.source
 
     report = None
@@ -743,15 +739,7 @@ def advise_main(argv: list[str] | None = None) -> int:
         if args.profile:
             from .profiler import Profiler
 
-            profiler = Profiler(
-                source,
-                filename=filename,
-                config=_parse_config(args.config),
-                num_threads=args.threads,
-                threshold=args.threshold,
-                faults=faults,
-            )
-            result = profiler.profile()
+            result = Profiler(source, run, filename=filename).profile()
             module = result.module
             report = result.report
             blame_info = result.static_info

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..artifact.merge import merge_snapshots
 from ..artifact.model import ProfileSnapshot, snapshot_from_result
@@ -47,6 +47,7 @@ from ..errors import (
 from ..ir.module import Module
 from ..pipeline.stages import compile_stage
 from ..resilience.retrying import backoff_attempts
+from ..run_config import RunConfig
 from .profiler import ProfileResult, Profiler
 
 
@@ -99,13 +100,8 @@ class MultiLocaleResult:
 def profile_locales(
     source: str,
     num_locales: int,
+    run: RunConfig = RunConfig(),
     filename: str = "program.chpl",
-    config: dict[str, object] | None = None,
-    num_threads: int = 12,
-    threshold: int = 20011,
-    locale_id_config: str = "localeId",
-    num_locales_config: str = "numLocales",
-    faults: "object | str | None" = None,
     locale_timeout: float | None = None,
     max_retries: int = 2,
     retry_backoff: float = 0.01,
@@ -116,12 +112,12 @@ def profile_locales(
     """Profiles ``source`` once per locale and merges the reports.
 
     The program must declare ``config const localeId: int`` and
-    ``config const numLocales: int`` (names overridable) and partition
-    its own work by them.
+    ``config const numLocales: int`` and partition its own work by
+    them; every locale runs with ``run``, those two constants added to
+    its ``config``.
 
-    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan` or spec
-    string) degrades each locale independently and can crash or delay
-    whole locales.  ``locale_timeout`` is the per-locale wall-clock
+    ``run.faults`` degrades each locale independently and can crash or
+    delay whole locales.  ``locale_timeout`` is the per-locale wall-clock
     budget in host seconds: a locale exceeding it is a straggler (kept,
     flagged) or — with ``drop_stragglers`` — treated as failed.  Failed
     locales are retried ``max_retries`` times with exponential backoff;
@@ -135,33 +131,22 @@ def profile_locales(
     """
     if num_locales < 1:
         raise AggregationError("need at least one locale")
-    plan = None
-    if faults is not None:
-        from ..resilience.faults import FaultPlan
-
-        plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
-
     from ..sampling.dataset import source_digest
 
     digest = source_digest(source)
     # One module for every locale (and retry): the locales run the same
     # program, and shared instruction ids make their shards comparable.
-    module = compile_stage(source, filename)
-    base = dict(config or {})
+    module = compile_stage(source, filename, run.fast)
     per_locale: list[ProfileResult] = []
     snapshots: list[ProfileSnapshot] = []
     outcomes: list[LocaleOutcome] = []
     for locale in range(num_locales):
-        cfg = dict(base)
-        cfg[locale_id_config] = locale
-        cfg[num_locales_config] = num_locales
+        config = {**run.config, "localeId": locale, "numLocales": num_locales}
         outcome, result = _run_one_locale(
             module,
-            cfg,
+            # fast=False: the shared module is already compiled.
+            replace(run, config=config, fast=False),
             locale,
-            num_threads=num_threads,
-            threshold=threshold,
-            plan=plan,
             locale_timeout=locale_timeout,
             max_retries=max_retries,
             retry_backoff=retry_backoff,
@@ -175,7 +160,7 @@ def profile_locales(
                 snapshot_from_result(
                     result,
                     source_sha256=digest,
-                    num_threads=num_threads,
+                    num_threads=run.num_threads,
                     locale_id=locale,
                 )
             )
@@ -223,11 +208,8 @@ def profile_locales(
 
 def _run_one_locale(
     module: Module,
-    cfg: dict[str, object],
+    run: RunConfig,
     locale: int,
-    num_threads: int,
-    threshold: int,
-    plan,
     locale_timeout: float | None,
     max_retries: int,
     retry_backoff: float,
@@ -236,6 +218,9 @@ def _run_one_locale(
     """One locale with bounded retry + backoff (the shared
     :func:`~repro.resilience.retrying.backoff_attempts` schedule);
     never raises."""
+    plan = run.faults
+    if plan is not None:
+        run = replace(run, faults=plan.for_locale(locale))
     attempts = 0
     last_error: str | None = None
     last_status = "crashed"
@@ -251,13 +236,7 @@ def _run_one_locale(
             delay = plan.straggle_seconds(locale) if plan is not None else 0.0
             if delay:
                 time.sleep(delay)
-            result = Profiler(
-                module,
-                config=cfg,
-                num_threads=num_threads,
-                threshold=threshold,
-                faults=plan.for_locale(locale) if plan is not None else None,
-            ).profile()
+            result = Profiler(module, run).profile()
         except ReproError as exc:
             last_error = str(exc)
             last_status = "crashed"

@@ -16,8 +16,8 @@ An optional ``tap`` sees every raw batch first.
 
 Typical use::
 
-    from repro.tooling import Profiler
-    result = Profiler(source, config={"n": 8}).profile()
+    from repro import Profiler, RunConfig
+    result = Profiler(source, RunConfig(config={"n": 8})).profile()
     for row in result.report.top(5):
         print(row.name, f"{row.percent:.1f}%", row.context)
 """
@@ -39,9 +39,9 @@ from ..pipeline.stages import (
     collect_stage,
     compile_stage,
 )
+from ..run_config import RunConfig
 from ..runtime.interpreter import Interpreter, RunResult
 from ..sampling.monitor import Monitor
-from ..sampling.pmu import DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -84,73 +84,49 @@ class ProfileResult:
 
 
 class Profiler:
-    """Configurable front door to the blame pipeline.
+    """Front door to the blame pipeline: one program, one
+    :class:`~repro.run_config.RunConfig`.
 
-    Parameters mirror the paper's experimental knobs: the PMU overflow
-    ``threshold``, the worker-thread count (their 12-core Xeon), and the
-    compilation mode (``fast=True`` approximates ``--fast``; the paper
-    profiles *without* it — see §V's discussion of why).  ``fast``
-    applies to source text only: a precompiled ``Module`` is profiled
-    as given, and ``fast=True`` with one raises ``ValueError`` (use
-    ``compile_stage(source, name, fast=True)``).
+    The run config carries the paper's experimental knobs: the PMU
+    overflow ``threshold``, the worker-thread count (their 12-core
+    Xeon), and the compilation mode (``fast=True`` approximates
+    ``--fast``; the paper profiles *without* it — see §V's discussion
+    of why).  ``fast`` applies to source text only: a precompiled
+    ``Module`` is profiled as given, and ``fast=True`` with one raises
+    ``ValueError`` (use ``compile_stage(source, name, fast=True)``).
     """
 
     def __init__(
         self,
         source: str | Module,
+        run: RunConfig = RunConfig(),
         filename: str = "program.chpl",
-        config: dict[str, object] | None = None,
-        num_threads: int = 12,
-        threshold: int = DEFAULT_THRESHOLD,
-        fast: bool = False,
-        include_temps: bool = False,
-        min_blame: float = 0.0,
-        blame_options: "object | None" = None,
-        skid: int = 0,
-        skid_compensation: bool = False,
-        faults: "object | str | None" = None,
     ) -> None:
+        self.run = run
         if isinstance(source, Module):
-            _reject_fast_module(fast)
+            _reject_fast_module(run.fast)
             self.module = source
             self.program_name = source.name
         else:
-            self.module = compile_stage(source, filename, fast)
+            self.module = compile_stage(source, filename, run.fast)
             self.program_name = filename
-        self.config = config or {}
-        self.num_threads = num_threads
-        self.threshold = threshold
-        self.include_temps = include_temps
-        self.min_blame = min_blame
-        self.blame_options = blame_options
-        self.skid = skid
-        self.skid_compensation = skid_compensation
-        if isinstance(faults, str):
-            from ..resilience.faults import FaultPlan
-
-            faults = FaultPlan.parse(faults)
-        self.faults = faults
 
     def _injector(self):
-        if self.faults is None or getattr(self.faults, "is_clean", True):
+        faults = self.run.faults
+        if faults is None or getattr(faults, "is_clean", True):
             return None
         from ..resilience.inject import FaultInjector
 
-        return FaultInjector(self.faults, module=self.module)
+        return FaultInjector(faults, module=self.module)
 
-    def profile(
-        self,
-        batch_size: int = 256,
-        adaptive: "object | None" = None,
-        tap=None,
-    ) -> ProfileResult:
+    def profile(self, tap=None) -> ProfileResult:
         """Runs the pipeline end to end, streaming.
 
-        The monitor hands sample batches of ``batch_size`` to one sink
-        as they fill, so at most that many samples are resident.  The
-        sink first passes each raw batch to ``tap`` (when given), then
-        through the fault injector's degrader (when faults are on) into
-        a tolerant :class:`~repro.blame.postmortem.PostmortemConsumer`,
+        The monitor hands sample batches of ``run.batch_size`` to one
+        sink as they fill, so at most that many samples are resident.
+        The sink first passes each raw batch to ``tap`` (when given),
+        then through the fault injector's degrader (when faults are on)
+        into a tolerant :class:`~repro.blame.postmortem.PostmortemConsumer`,
         which counts idle samples without keeping them.  ``tap`` is how
         ``--save-samples`` journals records while the program runs, and
         how in-process callers that need the raw stream collect it::
@@ -158,39 +134,31 @@ class Profiler:
             samples = []
             result = profiler.profile(tap=samples.extend)
 
-        ``adaptive`` (an
-        :class:`~repro.sampling.adaptive.AdaptiveConfig`, or ``True``
-        for the defaults) feeds the batches to an
-        :class:`~repro.sampling.adaptive.AdaptiveController` instead, in
-        rounds of ``round_samples`` (which replaces ``batch_size``): it
-        attributes each round incrementally and stops the run early
-        once the blame ranking is statistically settled — see
-        :mod:`repro.sampling.adaptive`.  Composes with fault injection
-        (degraded telemetry widens the intervals, delaying the stop).
+        With ``run.adaptive`` set, the batches feed an
+        :class:`~repro.sampling.adaptive.AdaptiveController` instead,
+        one round per batch: it attributes each round incrementally and
+        stops the run early once the blame ranking is statistically
+        settled — see :mod:`repro.sampling.adaptive`.  Composes with
+        fault injection (degraded telemetry widens the intervals,
+        delaying the stop).
         """
+        run = self.run
         # Step 1 — static analysis.
-        static_info = analyze_stage(self.module, options=self.blame_options)
+        static_info = analyze_stage(self.module, options=run.blame_options)
         injector = self._injector()
         degrade = injector.degrader() if injector is not None else None
         consumer = PostmortemConsumer(
             self.module, options=static_info.options, tolerant=True
         )
         controller = None
-        if adaptive is not None:
-            from ..sampling.adaptive import AdaptiveConfig, AdaptiveController
+        if run.adaptive is not None:
+            from ..sampling.adaptive import AdaptiveController
 
-            if adaptive is True:
-                adaptive = AdaptiveConfig()
             controller = AdaptiveController(
-                adaptive,
-                static_info,
-                consumer,
-                degrade=degrade,
+                run, static_info, consumer, degrade=degrade,
                 program=self.program_name,
-                include_temps=self.include_temps,
             )
             feed = controller.sink
-            batch_size = adaptive.round_samples
         else:
             def feed(batch):
                 consumer.feed(degrade(batch) if degrade is not None else batch)
@@ -209,13 +177,13 @@ class Profiler:
         # Step 2 — execution; step 3 runs inside the sink as batches fill.
         coll = collect_stage(
             self.module,
-            config=self.config,
-            num_threads=self.num_threads,
-            threshold=self.threshold,
-            skid=self.skid,
-            skid_compensation=self.skid_compensation,
+            config=run.config,
+            num_threads=run.num_threads,
+            threshold=run.threshold,
+            skid=run.skid,
+            skid_compensation=run.skid_compensation,
             sink=sink,
-            batch_size=batch_size,
+            batch_size=run.batch_size,
         )
         t0 = time.perf_counter()
         if controller is not None:
@@ -236,8 +204,6 @@ class Profiler:
             stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
             postmortem_seconds=pm_seconds,
             monitor_quarantine=monitor.quarantine_by_reason(),
-            min_blame=self.min_blame,
-            include_temps=self.include_temps,
         )
         return ProfileResult(
             module=self.module,
@@ -255,19 +221,19 @@ class Profiler:
 
 def run_only(
     source: str | Module,
+    run: RunConfig = RunConfig(),
     filename: str = "program.chpl",
-    config: dict[str, object] | None = None,
-    num_threads: int = 12,
-    fast: bool = False,
 ) -> RunResult:
     """Executes a program without profiling (for timing comparisons —
     the paper's original-vs-optimized speedup tables)."""
     if isinstance(source, Module):
-        _reject_fast_module(fast)
+        _reject_fast_module(run.fast)
         module = source
     else:
-        module = compile_stage(source, filename, fast)
-    return Interpreter(module, config=config, num_threads=num_threads).run()
+        module = compile_stage(source, filename, run.fast)
+    return Interpreter(
+        module, config=run.config, num_threads=run.num_threads
+    ).run()
 
 
 def _reject_fast_module(fast: bool) -> None:

@@ -14,6 +14,7 @@ __all__ = [
     "build_blame_points",
     "build_code_centric",
     "pct",
+    "print_views",
     "render_code_centric",
     "render_data_centric",
     "render_html_report",
@@ -54,3 +55,14 @@ def render_stage(profile, view: str = "data", top: int = 20, findings=None) -> s
     if view == "html":
         return render_html_report(profile, top=top)
     raise ValueError(f"unknown view {view!r} (want one of {'|'.join(VIEWS)})")
+
+
+def print_views(profile, view: str, top: int) -> None:
+    """Prints ``view`` (one window, or ``all``) of ``profile``: the one
+    presentation path of ``repro-profile profile|view|merge`` and
+    ``repro-analyze``, which is what keeps artifact renders
+    byte-identical to live ones."""
+    for name in ("data", "code", "hybrid"):
+        if view in (name, "all"):
+            print(render_stage(profile, name, top=top))
+            print()

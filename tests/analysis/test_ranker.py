@@ -6,6 +6,7 @@ from repro.analysis.diagnostics import Finding
 from repro.analysis.ranker import attach_blame, blame_for_variables
 from repro.bench.programs import minimd
 from repro.blame.report import BlameReport, BlameRow, RunStats
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 
@@ -86,8 +87,8 @@ class TestEndToEnd:
     def test_minimd_findings_pick_up_measured_blame(self):
         result = Profiler(
             minimd.build_source(optimized=False),
+            RunConfig(num_threads=4),
             filename="minimd.chpl",
-            num_threads=4,
         ).profile()
         findings = analyze_module(result.module)
         ranked = rank_findings(findings, result.report)

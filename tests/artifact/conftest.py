@@ -16,6 +16,7 @@ from repro.pipeline import (
     compile_stage,
     postmortem_stage,
 )
+from repro.run_config import RunConfig
 from repro.tooling.profiler import ProfileResult, Profiler
 
 #: Small-but-representative configs for the paper's three benchmarks.
@@ -60,19 +61,18 @@ def benchmark_setup(name: str) -> tuple[str, str, dict]:
 _CACHE: dict = {}
 
 
-def profile_benchmark(name: str, faults: str | None = None, **profile_kwargs):
+def profile_benchmark(
+    name: str, faults: str | None = None, batch_size: int = RunConfig.batch_size
+):
     """Profiles one benchmark (cached per configuration)."""
-    key = (name, faults, tuple(sorted(profile_kwargs.items())))
+    key = (name, faults, batch_size)
     if key not in _CACHE:
         source, filename, config = benchmark_setup(name)
-        _CACHE[key] = Profiler(
-            source,
-            filename=filename,
-            config=config,
-            num_threads=NUM_THREADS,
-            threshold=THRESHOLD,
-            faults=faults,
-        ).profile(**profile_kwargs)
+        run = RunConfig(
+            config=config, num_threads=NUM_THREADS, threshold=THRESHOLD,
+            faults=faults, batch_size=batch_size,
+        )
+        _CACHE[key] = Profiler(source, run, filename=filename).profile()
     return _CACHE[key]
 
 

@@ -13,7 +13,7 @@ from repro.artifact.format import (
 )
 from repro.artifact.model import snapshot_from_result
 from repro.pipeline.stages import render_stage
-from repro.sampling.adaptive import AdaptiveConfig
+from repro.run_config import AdaptiveConfig, RunConfig
 from repro.sampling.dataset import check_line, crc_line
 from repro.tooling.profiler import Profiler
 
@@ -37,15 +37,16 @@ for it in 0..#iters {
 """
 
 
-def _profile(adaptive=None):
-    return Profiler(
-        SOURCE, filename="toy.chpl", num_threads=4, threshold=997
-    ).profile(adaptive=adaptive)
+def _profile(adaptive=None, batch_size=RunConfig.batch_size):
+    run = RunConfig(
+        num_threads=4, threshold=997, batch_size=batch_size, adaptive=adaptive
+    )
+    return Profiler(SOURCE, run, filename="toy.chpl").profile()
 
 
 @pytest.fixture(scope="module")
 def adaptive_result():
-    result = _profile(adaptive=AdaptiveConfig(ci_width=0.05, round_samples=64))
+    result = _profile(AdaptiveConfig(ci_width=0.05), batch_size=64)
     assert result.stopped_early  # the artifact under test is truncated
     return result
 

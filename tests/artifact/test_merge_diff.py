@@ -16,6 +16,7 @@ from repro.artifact import (
 )
 from repro.errors import ArtifactError
 from repro.pipeline import render_stage
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 from .conftest import benchmark_setup, profile_benchmark
@@ -196,9 +197,8 @@ forall i in 0..#n {
         res = profile_locales(
             source,
             2,
+            RunConfig(num_threads=2, threshold=997),
             filename="sharded.chpl",
-            num_threads=2,
-            threshold=997,
             artifact_dir=str(tmp_path),
         )
         shards = [
@@ -221,10 +221,8 @@ class TestDiff:
         original = profile_benchmark("minimd")
         optimized = Profiler(
             minimd.build_source(optimized=True),
+            RunConfig(config=config, num_threads=4, threshold=4999),
             filename=filename,
-            config=config,
-            num_threads=4,
-            threshold=4999,
         ).profile()
         return (
             snapshot_from_result(original),

@@ -116,36 +116,6 @@ class TestConsumerContract:
         with pytest.raises(RuntimeError):
             consumer.feed([])
 
-    def test_evidence_window_bounds_pending_candidates(self):
-        result = profile_benchmark("minimd")
-        injector = FaultInjector(
-            FaultPlan.parse(FAULT_SPEC), module=result.module
-        )
-        degraded = injector.degrade_samples(self.samples_of("minimd"))
-        window = 4
-        consumer = PostmortemConsumer(
-            result.module,
-            options=result.static_info.options,
-            tolerant=True,
-            evidence_window=window,
-        )
-        for k in range(0, len(degraded), 16):
-            consumer.feed(degraded[k : k + 16])
-            assert consumer.pending_candidates <= window
-        pm = consumer.finish()
-        # Bounded-window recovery is best effort but must not lose
-        # samples: every degraded record is either an instance, a
-        # runtime sample, quarantined, or explicitly unknown.
-        assert (
-            pm.n_user + pm.n_runtime + len(pm.quarantined) + pm.n_unknown
-            == pm.n_raw
-        )
-
-    def test_evidence_window_validation(self):
-        result = profile_benchmark("minimd")
-        with pytest.raises(ValueError):
-            PostmortemConsumer(result.module, evidence_window=0)
-
 
 class TestStreamingDegrader:
     def test_chunking_invariant(self):

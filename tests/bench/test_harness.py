@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import harness
 from repro.bench.harness import SpeedupResult, TimingRow, time_variant
+from repro.run_config import RunConfig
 
 
 class TestTimingRows:
@@ -30,18 +31,18 @@ proc main() {
   writeln("elapsed", t1 - t0);
 }
 """
-        t = time_variant(src, "t.chpl", num_threads=2)
+        t = time_variant(src, "t.chpl", RunConfig(num_threads=2))
         assert t > 0
         # The self-timer excludes nothing here, but must be < whole wall
         # (which includes module init and the writeln itself).
         from repro.tooling.profiler import run_only
 
-        wall = run_only(src, num_threads=2).wall_seconds
+        wall = run_only(src, RunConfig(num_threads=2)).wall_seconds
         assert t <= wall
 
     def test_falls_back_to_wall(self):
         src = "proc main() { var s = 0; for i in 1..100 { s += i; } }"
-        t = time_variant(src, "t.chpl", num_threads=2)
+        t = time_variant(src, "t.chpl", RunConfig(num_threads=2))
         assert t > 0
 
     def test_deterministic(self):

@@ -5,6 +5,7 @@ own instructions, and repeated profiles of one module are identical."""
 from repro.blame.static_info import ModuleBlameInfo
 from repro.compiler.lower import compile_source
 from repro.pipeline import analyze_stage
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 SRC = """
@@ -57,10 +58,10 @@ class TestCachedResultsMatchFresh:
 
     def test_repeated_profiles_identical(self):
         module = fresh_module("cache_prof.chpl")
-        kwargs = dict(num_threads=4, threshold=997)
+        run = RunConfig(num_threads=4, threshold=997)
         samples1, samples2 = [], []
-        r1 = Profiler(module, **kwargs).profile(tap=samples1.extend)
-        r2 = Profiler(module, **kwargs).profile(tap=samples2.extend)
+        r1 = Profiler(module, run).profile(tap=samples1.extend)
+        r2 = Profiler(module, run).profile(tap=samples2.extend)
         assert r2.static_info is not r1.static_info  # analyzed afresh
         assert r1.run_result.output == r2.run_result.output
         s1 = [(s.thread_id, s.leaf_iid, tuple(s.stack)) for s in samples1]

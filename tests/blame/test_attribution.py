@@ -183,7 +183,7 @@ proc main() {
         assert all(not r.name.startswith("_") for r in res.report.rows)
 
     def test_temps_trackable_when_requested(self):
-        from repro.tooling.profiler import Profiler
+        from repro.blame.report import build_rows
 
         src = """
 var A: [0..29] real;
@@ -191,8 +191,9 @@ proc main() {
   forall i in 0..29 { A[i] = i * 2.0; }
 }
 """
-        res = Profiler(src, threshold=211, include_temps=True).profile()
-        assert any(r.name.startswith("_") for r in res.report.rows)
+        res = profile_src(src, threshold=211)
+        rows = build_rows(res.attribution, include_temps=True)
+        assert any(r.name.startswith("_") for r in rows)
 
 
 class TestReportStructures:

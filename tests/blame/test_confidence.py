@@ -1,4 +1,4 @@
-"""Blame-share confidence intervals: Wilson/bootstrap bounds, the
+"""Blame-share confidence intervals: Wilson bounds, the
 degradation-widening invariant, and the resolved-pairs Kendall-τ."""
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import pytest
 from repro.blame.confidence import (
     BlameInterval,
     blame_intervals,
-    bootstrap_interval,
     max_half_width,
     rank_agreement,
     resolved_kendall_tau,
@@ -81,20 +80,6 @@ class TestWilson:
         assert (w99[1] - w99[0]) > (w90[1] - w90[0])
 
 
-class TestBootstrap:
-    def test_deterministic_for_a_seed(self):
-        a = bootstrap_interval(30, 100, seed=5)
-        b = bootstrap_interval(30, 100, seed=5)
-        assert a == b
-
-    def test_brackets_the_point_estimate(self):
-        lo, hi = bootstrap_interval(30, 100, seed=1)
-        assert lo <= 0.3 <= hi
-
-    def test_no_evidence_is_total_uncertainty(self):
-        assert bootstrap_interval(3, 0) == (0.0, 1.0)
-
-
 class TestWiden:
     def test_clean_is_identity(self):
         assert widen_interval(0.2, 0.4, degraded=0, n=100) == (0.2, 0.4)
@@ -125,10 +110,6 @@ class TestBlameIntervals:
         assert [iv.name for iv in ivs] == ["a"]
         assert ivs[0].share == pytest.approx(0.3)
         assert ivs[0].key == "main::a"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            blame_intervals(_report([_row("a", 1.0, 10)]), 10, method="mad")
 
     def test_empty_report_means_no_evidence(self):
         assert max_half_width([]) == 1.0

@@ -4,6 +4,7 @@ strictly-weaker analysis."""
 import pytest
 
 from repro.blame.options import ABLATIONS, FULL, BlameOptions
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 import sys, os
@@ -46,7 +47,7 @@ proc main() {
 
 def prof(src, options=None, threshold=307):
     return Profiler(
-        src, num_threads=4, threshold=threshold, blame_options=options
+        src, RunConfig(num_threads=4, threshold=threshold, blame_options=options)
     ).profile()
 
 

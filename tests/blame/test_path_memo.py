@@ -5,7 +5,7 @@ and reuses that outcome for every later sample of the path.  A consumer
 that forgets every path before each sample consolidates each sample
 from scratch.  On MiniMD and CLOMP streams degraded by each fault class
 alone and by all five at once, both must return the same result, fed
-in one batch or in small batches under a bounded evidence window.  A
+in one batch or in small batches.  A
 small program whose forall body is spawned from two call sites covers
 recovery through the spawn-tag index.
 """
@@ -18,6 +18,7 @@ from repro.bench.programs import clomp, minimd
 from repro.blame.postmortem import PostmortemConsumer
 from repro.resilience.faults import FAULT_CLASSES, FaultPlan
 from repro.resilience.inject import FaultInjector
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 #: One small forall body spawned from two call sites, every time step:
@@ -59,9 +60,8 @@ PLANS = {
     ),
 }
 
-#: (batch size, evidence window): one-shot, and small batches under a
-#: window that forces early candidate resolution.
-FEEDS = {"one-shot": (None, None), "batched": (32, 5)}
+#: Batch size: one-shot, and small batches.
+FEEDS = {"one-shot": None, "batched": 32}
 
 
 class ForgetfulConsumer(PostmortemConsumer):
@@ -78,17 +78,14 @@ def clean_run(request):
     samples = []
     res = Profiler(
         source,
+        RunConfig(config=config, num_threads=4, threshold=499),
         filename=f"{request.param}.chpl",
-        config=config,
-        num_threads=4,
-        threshold=499,
     ).profile(tap=samples.extend)
     return res.module, res.static_info.options, samples
 
 
-def consume(cls, module, options, samples, feed):
-    batch, window = feed
-    consumer = cls(module, options=options, tolerant=True, evidence_window=window)
+def consume(cls, module, options, samples, batch):
+    consumer = cls(module, options=options, tolerant=True)
     step = batch or len(samples)
     for k in range(0, len(samples), step):
         consumer.feed(samples[k:k + step])

@@ -8,6 +8,7 @@ import pytest
 from repro.compiler.lower import compile_source
 from repro.runtime.interpreter import Interpreter, RunResult
 from repro.sampling.monitor import Monitor
+from repro.run_config import RunConfig
 from repro.sampling.pmu import PMUConfig
 from repro.tooling.profiler import ProfileResult, Profiler
 
@@ -40,13 +41,8 @@ def profile_src(
     filename: str = "test.chpl",
     tap=None,
 ) -> ProfileResult:
-    return Profiler(
-        source,
-        filename=filename,
-        config=config,
-        num_threads=num_threads,
-        threshold=threshold,
-    ).profile(tap=tap)
+    run = RunConfig(config=config, num_threads=num_threads, threshold=threshold)
+    return Profiler(source, run, filename=filename).profile(tap=tap)
 
 
 def sample_src(source: str, **kwargs) -> tuple[ProfileResult, list]:

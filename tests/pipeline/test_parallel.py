@@ -32,7 +32,7 @@ from repro.pipeline import (
     postmortem_stage,
     render_stage,
 )
-from repro.sampling.adaptive import AdaptiveConfig
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 from .conftest import (
@@ -52,18 +52,15 @@ _FIRST: dict = {}
 _MODULES: dict = {}
 
 
-def profile(name: str, faults: str | None = None, tap=None, **kwargs):
+def profile(name: str, faults: str | None = None, tap=None):
     source, filename, config = benchmark_setup(name)
     if name not in _MODULES:
         _MODULES[name] = compile_stage(source, filename)
-    return Profiler(
-        _MODULES[name],
-        config=config,
-        num_threads=NUM_THREADS,
-        threshold=THRESHOLD,
+    run = RunConfig(
+        config=config, num_threads=NUM_THREADS, threshold=THRESHOLD,
         faults=faults,
-        **kwargs,
-    ).profile(tap=tap)
+    )
+    return Profiler(_MODULES[name], run).profile(tap=tap)
 
 
 def first_run(name: str, faults: str | None = None):
@@ -138,26 +135,6 @@ class TestCrossRunByteIdentity:
             for view in VIEWS:
                 assert render_stage(snap, view) == render_stage(ref, view)
 
-    def test_min_blame_applied_post_merge(self):
-        """min_blame is a fraction of the run denominator, so it must be
-        applied after the per-round attributions merge: an adaptive run
-        that never stops reports exactly what the plain run reports."""
-        plain = profile("minimd", min_blame=0.05)
-        source, filename, config = benchmark_setup("minimd")
-        rounds = Profiler(
-            source, filename=filename, config=config,
-            num_threads=NUM_THREADS, threshold=THRESHOLD, min_blame=0.05,
-        ).profile(
-            adaptive=AdaptiveConfig(round_samples=16, min_rounds=10_000)
-        )
-        assert not rounds.stopped_early
-        assert len(rounds.adaptive.rounds) > 1
-        assert rounds.report.rows == plain.report.rows
-        assert all(
-            r.blame >= 0.05 or r.name == "<unknown>"
-            for r in rounds.report.rows
-        )
-
     def test_shard_snapshots_remerge_to_the_main_snapshot(self):
         """Locale shards merged in two stages (pairs first, then the
         pair merges) give the report a single merge gives."""
@@ -175,7 +152,8 @@ forall i in 0..#n {
 }
 """
         res = profile_locales(
-            source, 4, filename="sharded.chpl", num_threads=2, threshold=997
+            source, 4, RunConfig(num_threads=2, threshold=997),
+            filename="sharded.chpl",
         )
         shards = res.snapshots
         staged = merge_snapshots(

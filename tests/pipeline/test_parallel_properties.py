@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline import aggregate_stage, attribute_stage, postmortem_stage
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 from .conftest import (
@@ -70,16 +71,13 @@ def reference_report(faults):
     return _REFERENCE[faults]
 
 
-def profiler(faults):
+def profiler(faults, batch_size):
     source, filename, config = benchmark_setup("minimd")
-    return Profiler(
-        source,
-        filename=filename,
-        config=config,
-        num_threads=NUM_THREADS,
-        threshold=THRESHOLD,
-        faults=faults,
+    run = RunConfig(
+        config=config, num_threads=NUM_THREADS, threshold=THRESHOLD,
+        faults=faults, batch_size=batch_size,
     )
+    return Profiler(source, run, filename=filename)
 
 
 @settings(max_examples=16, deadline=None)
@@ -93,7 +91,7 @@ def test_shard_counts_one_to_eight(shards, faults):
     # Every run collects the clean stream; degradation comes after.
     n_collected = len(collected("minimd")[2])
     batch = math.ceil(n_collected / shards)
-    streamed = profiler(faults).profile(batch_size=batch)
+    streamed = profiler(faults, batch).profile()
     report = reference_report(faults)
     assert streamed.monitor.n_samples == n_collected
     assert streamed.report.rows == report.rows

@@ -30,6 +30,7 @@ from repro.artifact import (
     write_artifact,
 )
 from repro.pipeline import render_stage
+from repro.run_config import RunConfig
 from repro.sampling.dataset import source_digest
 from repro.tooling.cli import main as cli_main
 from repro.tooling.profiler import Profiler
@@ -62,10 +63,8 @@ class TestGracefulDegradation:
         """user + runtime + unknown + quarantined == raw, in the file and
         after merging it with a fresh serial run of the same program."""
         source, filename, config = benchmark_setup("minimd")
-        fresh = Profiler(
-            source, filename=filename, config=config,
-            num_threads=NUM_THREADS, threshold=THRESHOLD,
-        ).profile()
+        run = RunConfig(config=config, num_threads=NUM_THREADS, threshold=THRESHOLD)
+        fresh = Profiler(source, run, filename=filename).profile()
         merged = merge_snapshots(
             [
                 legacy,

@@ -10,6 +10,7 @@ from repro.blame.postmortem import (
 )
 from repro.blame.report import UNKNOWN_BUCKET
 from repro.resilience.faults import FAULT_CLASSES, FaultPlan
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
@@ -53,13 +54,9 @@ class TestZeroCostCleanPath:
 
 class TestDegradedRuns:
     def _profile(self, fault, rate, seed=7):
-        return Profiler(
-            PAR,
-            filename="test.chpl",
-            num_threads=4,
-            threshold=211,
-            faults=FaultPlan(seed=seed).with_rate(fault, rate),
-        ).profile()
+        plan = FaultPlan(seed=seed).with_rate(fault, rate)
+        run = RunConfig(num_threads=4, threshold=211, faults=plan)
+        return Profiler(PAR, run, filename="test.chpl").profile()
 
     def test_every_fault_class_completes(self):
         for fault in FAULT_CLASSES:

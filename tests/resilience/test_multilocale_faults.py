@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AggregationError
 from repro.resilience.faults import FaultPlan
+from repro.run_config import RunConfig
 from repro.tooling.multilocale import profile_locales
 from repro.views.degradation import degradation_lines
 
@@ -26,11 +27,10 @@ proc main() {
 """
 
 
-def _profile(**kw):
-    kw.setdefault("num_threads", 4)
-    kw.setdefault("threshold", 499)
+def _profile(faults=None, **kw):
     kw.setdefault("retry_backoff", 0.0)
-    return profile_locales(SPMD, **kw)
+    run = RunConfig(num_threads=4, threshold=499, faults=faults)
+    return profile_locales(SPMD, run=run, **kw)
 
 
 class TestCrashes:

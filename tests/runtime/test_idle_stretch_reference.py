@@ -17,10 +17,10 @@ import pytest
 from repro.bench.programs import clomp, lulesh, minimd
 from repro.compiler.lower import compile_source
 from repro.pipeline import stages
+from repro.run_config import AdaptiveConfig, RunConfig
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.tasking import Scheduler
 from repro.runtime.values import RuntimeError_
-from repro.sampling.adaptive import AdaptiveConfig
 from repro.sampling.monitor import Monitor, StopSampling
 from repro.sampling.pmu import PMUConfig
 from repro.tooling.profiler import Profiler
@@ -218,15 +218,15 @@ def test_adaptive_stop_inside_a_stretch_matches_reference(stretch_probe,
                                                           monkeypatch):
     """The adaptive controller's StopSampling, raised from the sink on a
     round that an idle tick completed, leaves both loops in one state."""
-    config = AdaptiveConfig(ci_width=0.2, round_samples=32, min_rounds=2,
-                            stability_window=2)
+    run = RunConfig(
+        config=PROGRAMS["clomp"][1], num_threads=16, threshold=31,
+        batch_size=32,
+        adaptive=AdaptiveConfig(ci_width=0.2, min_rounds=2, stability_window=2),
+    )
 
     def profile():
         samples = []
-        result = Profiler(
-            module_of("clomp"), config=PROGRAMS["clomp"][1], num_threads=16,
-            threshold=31,
-        ).profile(adaptive=config, tap=samples.extend)
+        result = Profiler(module_of("clomp"), run).profile(tap=samples.extend)
         return result, samples
 
     new, new_samples = profile()

@@ -10,11 +10,12 @@ import pytest
 from repro.blame.attribution import BlameAttributor
 from repro.blame.postmortem import PostmortemConsumer, process_samples
 from repro.blame.report import build_rows
+from repro.run_config import AdaptiveConfig, RunConfig
 from repro.runtime.values import RuntimeError_
 from repro.sampling.adaptive import (
     REASON_EXHAUSTED,
     REASON_SETTLED,
-    AdaptiveConfig,
+    TAU_MIN,
     AdaptiveController,
     AdaptiveTrail,
     StopSampling,
@@ -43,13 +44,17 @@ for it in 0..#iters {
 }
 """
 
-CFG = AdaptiveConfig(ci_width=0.05, round_samples=64)
+CFG = AdaptiveConfig(ci_width=0.05)
+#: Samples per round.
+ROUND = 64
 
 
-def _profiler(**kw):
-    return Profiler(
-        SOURCE, filename="toy.chpl", num_threads=4, threshold=997, **kw
+def _profiler(adaptive=None, faults=None):
+    run = RunConfig(
+        num_threads=4, threshold=997, batch_size=ROUND, adaptive=adaptive,
+        faults=faults,
     )
+    return Profiler(SOURCE, run, filename="toy.chpl")
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +66,7 @@ def full():
 
 @pytest.fixture(scope="module")
 def adaptive():
-    return _profiler().profile(adaptive=CFG)
+    return _profiler(CFG).profile()
 
 
 class TestStoppingRule:
@@ -85,15 +90,15 @@ class TestStoppingRule:
         trail = adaptive.adaptive
         for i, r in enumerate(trail.rounds):
             assert r.round == i + 1
-            assert r.n_raw == (i + 1) * CFG.round_samples
+            assert r.n_raw == (i + 1) * ROUND
 
     def test_settled_checkpoint_is_tight_and_agreed(self, adaptive):
         last = adaptive.adaptive.rounds[-1]
         assert last.max_half_width <= CFG.ci_width
         assert last.top_overlap == 1.0
         assert last.half_overlap == 1.0
-        assert last.tau >= CFG.tau_min
-        assert last.half_tau >= CFG.tau_min
+        assert last.tau >= TAU_MIN
+        assert last.half_tau >= TAU_MIN
         assert last.intervals  # the evidence rides in the trail
 
 
@@ -124,11 +129,9 @@ class TestEquivalences:
         """A rule that never fires (huge min_rounds) runs to the end of
         the stream and reports exactly what the plain path reports."""
         full, _samples = full
-        result = _profiler().profile(
-            adaptive=AdaptiveConfig(
-                ci_width=0.05, round_samples=64, min_rounds=10_000
-            )
-        )
+        result = _profiler(
+            AdaptiveConfig(ci_width=0.05, min_rounds=10_000)
+        ).profile()
         trail = result.adaptive
         assert not result.stopped_early
         assert trail.stop_reason == REASON_EXHAUSTED
@@ -142,9 +145,7 @@ class TestDegradation:
     def test_degraded_samples_widen_never_shrink(self, adaptive):
         """Fault-injected telemetry must delay the stop (wider
         intervals), never accelerate it."""
-        faulty = _profiler(faults="drop=0.2,strip=0.2,seed=11").profile(
-            adaptive=CFG
-        )
+        faulty = _profiler(CFG, faults="drop=0.2,strip=0.2,seed=11").profile()
         trail = faulty.adaptive
         assert any(r.degraded > 0 for r in trail.rounds)
         assert (
@@ -159,11 +160,12 @@ class TestDegradation:
 class TestPlumbing:
     def test_short_final_round_is_recorded_but_never_stops(self, full):
         """Only the flush that ends a completed run delivers a round
-        shorter than ``round_samples``: it joins the trail even when it
+        shorter than the batch size: it joins the trail even when it
         meets the rule, and only a full round stops the run."""
         result, samples = full
-        cfg = AdaptiveConfig(
-            ci_width=0.5, round_samples=64, stability_window=2, min_rounds=1
+        run = RunConfig(
+            batch_size=64,
+            adaptive=AdaptiveConfig(ci_width=0.5, stability_window=2, min_rounds=1),
         )
 
         def controller():
@@ -171,7 +173,7 @@ class TestPlumbing:
                 result.module, options=result.static_info.options,
                 tolerant=True,
             )
-            return AdaptiveController(cfg, result.static_info, consumer)
+            return AdaptiveController(run, result.static_info, consumer)
 
         rounds = [samples[:64], samples[64:128]]
         short = controller()
@@ -206,17 +208,15 @@ class TestPlumbing:
             {"ci_width": 0.0},
             {"ci_width": 1.0},
             {"stability_window": 0},
-            {"round_samples": 0},
-            {"top_n": 0},
-            {"method": "jackknife"},
+            {"min_rounds": 0},
         ],
     )
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
-            AdaptiveConfig(**kw).validate()
+            AdaptiveConfig(**kw)
 
     def test_adaptive_true_uses_defaults(self):
-        # profile(adaptive=True) must work without importing the config.
-        result = _profiler().profile(adaptive=True)
+        # The default stopping rule is what an adaptive run records.
+        result = _profiler(AdaptiveConfig()).profile()
         assert result.adaptive is not None
         assert result.adaptive.ci_width == AdaptiveConfig().ci_width

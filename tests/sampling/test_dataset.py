@@ -12,6 +12,7 @@ from repro.sampling.dataset import (
 )
 from repro.tooling.analyze import DatasetMismatch, analyze_dataset
 from repro.tooling.cli import main as cli_main
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 SRC = """
@@ -26,7 +27,7 @@ proc main() {
 def record(tmp_path, source=SRC, threshold=311):
     module = compile_source(source, "prog.chpl", fresh_ids=True)
     samples = []
-    res = Profiler(module, num_threads=4, threshold=threshold).profile(
+    res = Profiler(module, RunConfig(num_threads=4, threshold=threshold)).profile(
         tap=samples.extend
     )
     path = tmp_path / "run.jsonl"

@@ -68,12 +68,14 @@ class TestSamplingDensity:
         # Same compiled module, two monitored runs → identical streams.
         # (Recompiling would renumber instruction ids, so share the
         # module, like re-running one binary.)
+        from repro.run_config import RunConfig
         from repro.tooling.profiler import Profiler
 
         module = compile_src(WORK)
+        run = RunConfig(num_threads=4, threshold=499)
         a, b = [], []
-        Profiler(module, num_threads=4, threshold=499).profile(tap=a.extend)
-        Profiler(module, num_threads=4, threshold=499).profile(tap=b.extend)
+        Profiler(module, run).profile(tap=a.extend)
+        Profiler(module, run).profile(tap=b.extend)
         sa = [(s.thread_id, s.leaf_iid, s.stack) for s in a]
         sb = [(s.thread_id, s.leaf_iid, s.stack) for s in b]
         assert sa == sb

@@ -3,6 +3,7 @@ implemented here as an extension)."""
 
 import pytest
 
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 import sys, os
@@ -22,10 +23,10 @@ proc main() {
 
 
 def profile(module, skid=0, compensation=False, tap=None):
-    return Profiler(
-        module, num_threads=4, threshold=311, skid=skid,
-        skid_compensation=compensation,
-    ).profile(tap=tap)
+    run = RunConfig(
+        num_threads=4, threshold=311, skid=skid, skid_compensation=compensation
+    )
+    return Profiler(module, run).profile(tap=tap)
 
 
 def raw_samples(module, skid=0, compensation=False):

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.hpctk import HpctkAttributor
 from repro.baselines.pprof import build_pprof_profile
 from repro.blame.aggregate import merge_reports
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 from repro.views.code_centric import render_code_centric
 from repro.views.data_centric import render_data_centric
@@ -101,7 +102,7 @@ proc main() {
 
     def test_fast_degrades_variable_visibility(self):
         plain = profile_src(self.SRC, threshold=311)
-        fast = Profiler(self.SRC, threshold=311, fast=True).profile()
+        fast = Profiler(self.SRC, RunConfig(threshold=311, fast=True)).profile()
         plain_names = {r.name for r in plain.report.rows}
         fast_names = {r.name for r in fast.report.rows}
         # --fast optimizes the local t away (copy-prop + dce), so blame
@@ -110,7 +111,7 @@ proc main() {
         assert "t" not in fast_names
 
     def test_fast_still_attributes_globals(self):
-        fast = Profiler(self.SRC, threshold=311, fast=True).profile()
+        fast = Profiler(self.SRC, RunConfig(threshold=311, fast=True)).profile()
         assert fast.report.blame_of("A") > 0.3
 
 

@@ -72,6 +72,33 @@ class TestDispatch:
         assert rc == 2
         assert "repro-profile:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["advise", "nope.chpl"], "repro-advise: [Errno 2]"),
+            (["advise", "--benchmark", "nosuch"], "unknown benchmark 'nosuch'"),
+            (["advise", "--benchmark", "minimd:x"], "unknown minimd variant"),
+            (["advise", "--benchmark", "minimd", "--config", "foo"],
+             "bad --config entry 'foo'"),
+            (["merge", "out.cbp", "in.cbp", "--missing-locales", "x,1"],
+             "--missing-locales wants comma-separated locale ids"),
+        ],
+    )
+    def test_other_usage_errors_exit_2(self, tmp_path, monkeypatch, argv,
+                                       message, capsys):
+        # The advise and merge equivalents of the profile exit-2 cases:
+        # one usage line or one `repro-` line, never a traceback.
+        monkeypatch.chdir(tmp_path)
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.cbp").exists()
+
     def test_startup_loads_no_pool_machinery(self):
         # Every CLI run pays for this import, and the serial pipeline
         # needs no executor, pickling or signal handling
@@ -230,6 +257,12 @@ class TestProfileAndView:
             (["--inject-faults", "worker-crash=1"], "unknown fault spec key"),
             (["--top", "0"], "--top must be >= 1 (got 0)"),
             (["--top", "-3"], "--top must be >= 1 (got -3)"),
+            (["--round-samples", "0"], "--batch-size must be >= 1 (got 0)"),
+            (["--stability-window", "0"], "--stability-window must be >= 1"),
+            (["--config", "foo"], "bad --config entry 'foo' (want name=value)"),
+            (["--fail-on-quarantine-rate", "-1"], "must be in [0, 1] (got -1.0)"),
+            (["--fail-on-quarantine-rate", "1.5"], "must be in [0, 1] (got 1.5)"),
+            (["--journal"], "--journal needs --save-samples"),
         ],
     )
     def test_bad_interval_knobs_exit_2_with_usage(
@@ -245,6 +278,25 @@ class TestProfileAndView:
         assert "usage:" in err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_round_samples_spells_batch_size(
+        self, source_file, tmp_path, adaptive, capsys
+    ):
+        # One option, two spellings: neither is ignored in either mode.
+        # --save-samples compiles with deterministic instruction ids, so
+        # two runs in one process write comparable artifacts.
+        art, saved = tmp_path / "run.cbp", tmp_path / "s.jsonl"
+        mode = ["--adaptive", "--ci-width", "0.4"] if adaptive else []
+        runs = []
+        for flag in ("--batch-size", "--round-samples"):
+            argv = ["profile", source_file, flag, "8", *mode, "-o", str(art),
+                    "--save-samples", str(saved), "--view", "all", *FAST_ARGS]
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            runs.append((out, art.read_bytes(), saved.read_bytes()))
+        assert runs[0] == runs[1]
+        assert ("[adaptive: stopped early" in runs[0][0]) == adaptive
 
     @pytest.mark.parametrize("journal", [False, True])
     def test_adaptive_saves_collected_records(

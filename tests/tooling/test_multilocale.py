@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.run_config import RunConfig
 from repro.tooling.multilocale import profile_locales
 
 SPMD = """
@@ -22,29 +23,31 @@ proc main() {
 }
 """
 
+RUN = RunConfig(num_threads=4, threshold=499)
+
 
 class TestMultiLocale:
     def test_each_locale_does_its_share(self):
-        res = profile_locales(SPMD, num_locales=4, num_threads=4, threshold=499)
+        res = profile_locales(SPMD, num_locales=4, run=RUN)
         assert res.num_locales == 4
         for k, r in enumerate(res.per_locale):
             assert r.run_result.output[0].startswith(f"locale {k}")
             assert r.report.locale_id == k
 
     def test_merged_report_aggregates_samples(self):
-        res = profile_locales(SPMD, num_locales=3, num_threads=4, threshold=499)
+        res = profile_locales(SPMD, num_locales=3, run=RUN)
         total = sum(r.report.stats.user_samples for r in res.per_locale)
         assert res.merged.stats.user_samples == total
         assert res.merged.locale_id == -1
 
     def test_merged_blame_consistent_with_locales(self):
-        res = profile_locales(SPMD, num_locales=2, num_threads=4, threshold=499)
+        res = profile_locales(SPMD, num_locales=2, run=RUN)
         per = [r.report.blame_of("A") for r in res.per_locale]
         merged = res.merged.blame_of("A")
         assert min(per) - 0.01 <= merged <= max(per) + 0.01
 
     def test_single_locale_is_the_base_case(self):
-        res = profile_locales(SPMD, num_locales=1, num_threads=4, threshold=499)
+        res = profile_locales(SPMD, num_locales=1, run=RUN)
         assert res.merged is res.per_locale[0].report
 
     def test_zero_locales_rejected(self):

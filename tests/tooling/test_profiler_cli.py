@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.blame.report import build_rows
 from repro.pipeline import compile_stage
+from repro.run_config import RunConfig
 from repro.tooling.cli import _parse_config, main as cli_main
 from repro.tooling.profiler import Profiler, run_only
 
@@ -19,40 +21,44 @@ proc main() {
 }
 """
 
+RUN = RunConfig(threshold=311)
+
 
 class TestProfiler:
     def test_full_pipeline_produces_report(self):
-        res = Profiler(SRC, threshold=311).profile()
+        res = Profiler(SRC, RUN).profile()
         assert res.report.rows
         assert res.report.stats.user_samples > 0
         assert res.run_result.output == ["done"]
 
     def test_accepts_precompiled_module(self):
         m = compile_src(SRC)
-        res = Profiler(m, threshold=311).profile()
+        res = Profiler(m, RUN).profile()
         assert res.report.rows
 
     def test_config_passthrough(self):
-        res = Profiler(SRC, config={"n": 5}, threshold=311).profile()
+        res = Profiler(SRC, RunConfig(config={"n": 5}, threshold=311)).profile()
         assert res.run_result.output == ["done"]
 
     def test_fast_mode_runs(self):
-        res = Profiler(SRC, threshold=311, fast=True).profile()
+        fast = RunConfig(threshold=311, fast=True)
+        res = Profiler(SRC, fast).profile()
         assert res.run_result.output == ["done"]
         # A caller's Module may be profiled again unoptimized, so
         # fast=True with one is refused instead of lowering it in place.
         m = compile_stage(SRC, "fast_module.chpl")
         n_instrs = len(list(m.all_instructions()))
         with pytest.raises(ValueError, match="compile_stage"):
-            Profiler(m, threshold=311, fast=True)
+            Profiler(m, fast)
         with pytest.raises(ValueError, match="compile_stage"):
-            run_only(m, fast=True)
+            run_only(m, fast)
         assert len(list(m.all_instructions())) == n_instrs
 
     def test_min_blame_filter(self):
-        all_rows = Profiler(SRC, threshold=311).profile().report.rows
-        few_rows = Profiler(SRC, threshold=311, min_blame=0.3).profile().report.rows
-        assert len(few_rows) <= len(all_rows)
+        # min_blame is a presentation cut over the run's rows.
+        res = Profiler(SRC, RUN).profile()
+        few_rows = build_rows(res.attribution, min_blame=0.3)
+        assert len(few_rows) <= len(res.report.rows)
         assert all(r.blame >= 0.3 for r in few_rows)
 
     def test_run_only_is_faster_path(self):
@@ -60,7 +66,7 @@ class TestProfiler:
         assert r.output == ["done"]
 
     def test_overhead_stats(self):
-        res = Profiler(SRC, threshold=311).profile()
+        res = Profiler(SRC, RUN).profile()
         s = res.report.stats
         assert s.total_raw_samples == s.user_samples + s.runtime_samples
         assert s.dataset_bytes > 0
@@ -73,7 +79,7 @@ class TestCLI:
         assert cfg == {"n": 5, "scale": 1.5, "flag": True, "name": "abc"}
 
     def test_parse_config_rejects_garbage(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="bad --config entry 'oops'"):
             _parse_config(["oops"])
 
     def test_cli_end_to_end(self, tmp_path, capsys):

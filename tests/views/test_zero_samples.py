@@ -9,6 +9,7 @@ import pytest
 from repro.artifact import merge_snapshots, snapshot_from_result
 from repro.blame.attribution import AttributionResult, VariableBlame
 from repro.pipeline import VIEWS, render_stage
+from repro.run_config import RunConfig
 from repro.tooling.profiler import Profiler
 
 SRC = """
@@ -22,7 +23,7 @@ proc main() {
 
 @pytest.fixture(scope="module")
 def dropped_everything():
-    return Profiler(SRC, threshold=311, faults="drop=1.0,seed=1").profile()
+    return Profiler(SRC, RunConfig(threshold=311, faults="drop=1.0,seed=1")).profile()
 
 
 class TestZeroSamples:
