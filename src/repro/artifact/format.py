@@ -293,8 +293,8 @@ def read_artifact(path: str) -> ProfileSnapshot:
 
     try:
         return _decode(by_kind)
-    except ArtifactError:
-        raise
+    except ArtifactError as exc:
+        raise ArtifactError(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed artifact section: {exc!r}") from exc
 

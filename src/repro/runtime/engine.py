@@ -1,42 +1,59 @@
-"""Fast-path execution engine: pre-bound per-block dispatch.
+"""Fast execution engine: register-only steps run in straight-line stretches.
 
-The generic interpreter loop pays, per instruction, a ``type(instr)``
-dict lookup, a re-raise funnel, operand kind tests in ``_val``, and
-cost-model attribute reads.  All of that is static per instruction, so
-this engine resolves it once: the first time a basic block runs, it is
-compiled into a *plan* — a table of specialized step closures (one per
-instruction) with handler, operand accessors, and static base costs
-already bound.  Straight-line runs of non-branching, non-calling
-instructions then execute without re-entering the scheduler
-bookkeeping; the PMU counter is advanced inline and the overflow/skid
-machinery (:meth:`Interpreter._pmu_overflow`) is only entered when a
-sample is actually due.
+The generic loop (``Interpreter._run_quantum_generic``) pays, per
+instruction, a ``type(instr)`` dict lookup, operand kind tests in
+``_val``, cost-model attribute reads, and writes of the frame index,
+clock, busy cycles, task clock and PMU counter.  This engine resolves
+the static part once per basic block, the first time the block runs,
+into a *plan*:
 
-Semantics are bit-for-bit those of ``Interpreter._run_quantum_generic``:
+* every instruction that touches only registers, memory cells and the
+  heap's live-byte count gets a *register-only step*,
+  ``step(regs) -> cost``, with its register ids, constants, global
+  names and static costs bound;
+* every other instruction (transfers, calls, spawns, allocation,
+  domain algebra) keeps its generic handler, which stays the single
+  source of truth for its semantics.
 
-* cost arithmetic is unchanged (``pmu_counter += cost`` then a ``>=``
-  compare — not a re-associated horizon decrement, which would round
-  differently under icache penalties);
-* every specialized closure reads all operands before mutating state
-  and raises *before* advancing ``frame.index``, so the faulting
-  instruction is always ``frame.block.instructions[frame.index]``;
-* uncommon instructions (calls, spawns, allocation, domain algebra)
-  delegate to the interpreter's generic handlers, which remain the
-  single source of truth for their semantics.
+``run_quantum`` runs each maximal stretch of register-only steps, up
+to the quantum budget, in one ``for`` loop that holds the clock, busy
+cycles and PMU counter in locals.  It writes them and the frame index
+back once per stretch, and before the only calls that read them:
+``Interpreter._pmu_overflow`` when a sample is due, and the error path.
 
-The tests in ``tests/runtime/test_engine.py`` assert engine-vs-generic
-equality of outputs, cycle counts, and sample streams.
+Semantics are bit-for-bit those of the generic loop:
+
+* per instruction, ``scaled = cost * penalty``, then ``clock +=
+  scaled``, ``busy += scaled``, ``pmu += scaled`` and the ``>=
+  threshold`` compare, in that order (re-associating would round
+  differently under the non-integer icache penalties);
+* a stretch ends at the instruction that makes a sample due, and the
+  clock is read back after the sample, which charges the stack walk
+  to it;
+* a step raises only where the generic handler raises, and before it
+  mutates anything.  The engine then writes the stretch back, leaves
+  ``frame.index`` at the faulting instruction (counted as executed)
+  and re-executes it with the generic handler, which raises the error
+  the generic loop raises there, message and all;
+* with PMU skid every instruction is a stretch of its own, so pending
+  skidded samples are delivered after each one.
+
+``tests/runtime/test_engine.py`` asserts engine-vs-generic equality of
+outputs, cycle and instruction counts, error states and sample streams.
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import fields, replace
+from functools import partial
 
 from ..chapel.types import IntType, RealType
 from ..ir import instructions as I
 from .builtins import ProgramHalt
-from .interpreter import ExecutionError, IterState, _idiv, _imod, _needs_none
+from .interpreter import ExecutionError, IterState, _binop_scalar, _tuple_binop
 from .values import (
+    _VALUE_AGGREGATES,
     ArrayValue,
     ClassValue,
     RangeValue,
@@ -44,59 +61,12 @@ from .values import (
     RuntimeError_,
     TupleValue,
     copy_value,
-    default_value,
     value_slots,
 )
 
 #: Instructions after which the engine must re-resolve the current
 #: task/frame/block (they transfer control or switch tasks).
 _TRANSFERS = (I.Call, I.Ret, I.Br, I.CBr, I.SpawnJoin)
-
-
-def _make_getter(interp, op):
-    """Operand accessor closure: ``get(frame) -> value``.
-
-    Pure (no side effects beyond the idempotent lazy creation of a
-    global's box), so a step may re-read operands when it punts to a
-    generic handler.
-    """
-    if isinstance(op, I.Constant):
-        v = op.value
-
-        def get(frame, _v=v):
-            return _v
-
-        return get
-    if isinstance(op, I.Register):
-        rid = op.rid
-        msg = f"register {op} read before definition"
-
-        def get(frame, _rid=rid, _msg=msg):
-            try:
-                return frame.regs[_rid]
-            except KeyError:
-                raise RuntimeError_(_msg)
-
-        return get
-    if isinstance(op, I.GlobalRef):
-        store = interp.globals_store
-        name = op.name
-        ty = op.type
-
-        def get(frame, _store=store, _name=name, _ty=ty):
-            box = _store.get(_name)
-            if box is None:
-                box = [None] if _needs_none(_ty) else [default_value(_ty)]
-                _store[_name] = box
-            return (box, 0)
-
-        return get
-
-    def get(frame, _op=op):
-        raise RuntimeError_(f"unknown operand kind {type(_op).__name__}")
-
-    return get
-
 
 _CMP_FNS = {
     "==": operator.eq,
@@ -112,32 +82,53 @@ _CMP_FNS = {
 _ARITH_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+class _Fault(Exception):
+    """Raised by a step at a check the generic handler also makes; the
+    engine re-executes the instruction generically for the error."""
+
+
+def _operand(op):
+    """``(rid, None)`` for a register operand, ``(None, value)`` for a
+    constant, None for any other kind (the instruction then keeps its
+    generic handler)."""
+    if isinstance(op, I.Register):
+        return op.rid, None
+    if isinstance(op, I.Constant):
+        return None, op.value
+    return None
+
+
 class FastEngine:
     """Per-interpreter plan cache + quantum loop (see module docstring)."""
 
     def __init__(self, interp) -> None:
         self.interp = interp
-        #: id(block) -> (block, steps, transfer_flags).  The block ref
-        #: in the value pins the object so ids are never reused while a
-        #: plan is live.
+        cm = interp.cost_model
+        #: The cost model with every cost a float.  Steps return these,
+        #: so ``cost * penalty`` multiplies two floats, which CPython
+        #: runs specialized (an int operand takes the generic path).
+        #: Costs are small integers, which a float holds exactly, so
+        #: every sum and product is the generic loop's.
+        self.costs = replace(cm, **{f.name: float(getattr(cm, f.name)) for f in fields(cm)})
+        #: id(block) -> (block, steps, ends, handlers, transfers).  The
+        #: block ref in the value pins the object so ids are never
+        #: reused while a plan is live.
         self._plans: dict[int, tuple] = {}
         self._factories = {
-            I.Alloca: self._sp_alloca,
-            I.Load: self._sp_load,
-            I.Store: self._sp_store,
-            I.FieldAddr: self._sp_field_addr,
-            I.ElemAddr: self._sp_elem_addr,
-            I.TupleElemAddr: self._sp_tuple_elem_addr,
-            I.BinOp: self._sp_binop,
-            I.UnOp: self._sp_unop,
-            I.Cast: self._sp_cast,
-            I.Br: self._sp_br,
-            I.CBr: self._sp_cbr,
-            I.MakeRange: self._sp_make_range,
-            I.MakeTuple: self._sp_make_tuple,
-            I.TupleGet: self._sp_tuple_get,
-            I.IterNext: self._sp_iter_next,
-            I.IterValue: self._sp_iter_value,
+            I.Alloca: self._alloca,
+            I.Load: self._load,
+            I.Store: self._store,
+            I.FieldAddr: self._field_addr,
+            I.ElemAddr: self._elem_addr,
+            I.TupleElemAddr: self._tuple_elem_addr,
+            I.BinOp: self._binop,
+            I.UnOp: self._unop,
+            I.Cast: self._cast,
+            I.MakeRange: self._make_range,
+            I.MakeTuple: self._make_tuple,
+            I.TupleGet: self._tuple_get,
+            I.IterNext: self._iter_next,
+            I.IterValue: self._iter_value,
         }
 
     # -- quantum loop ----------------------------------------------------------
@@ -147,6 +138,10 @@ class FastEngine:
         plans = self._plans
         threshold = interp.sample_threshold
         sampling = threshold is not None and interp.monitor is not None
+        if sampling:
+            # A float compares with the float PMU counter on CPython's
+            # specialized path; an integer threshold converts exactly.
+            threshold = float(threshold)
         has_skid = interp.skid > 0
         overflow = interp._pmu_overflow
         deliver = interp._deliver_skidded
@@ -165,26 +160,65 @@ class FastEngine:
                 if plan is None or plan[0] is not block:
                     plan = self._build_plan(block)
                     plans[id(block)] = plan
-                steps = plan[1]
-                flags = plan[2]
-                # The frame (hence its icache penalty) is fixed for the
-                # whole straight-line stretch: every frame or block
-                # change is a transfer that breaks this loop.
+                _, steps, ends, handlers, transfers = plan
+                instrs = block.instructions
+                regs = frame.regs
+                # The frame (hence its icache penalty) is fixed until the
+                # next transfer, which breaks this loop.
                 penalty = frame.penalty
                 while budget > 0:
                     i = frame.index
+                    n = ends[i]
+                    if n > i:
+                        # A stretch of register-only steps [i, n).
+                        if has_skid:
+                            n = i + 1
+                        elif n - i > budget:
+                            n = i + budget
+                        clock = thread.clock
+                        busy = thread.busy_cycles
+                        pmu = thread.pmu_counter
+                        try:
+                            for j in range(i, n):
+                                scaled = steps[j](regs) * penalty
+                                clock += scaled
+                                busy += scaled
+                                if sampling:
+                                    pmu += scaled
+                                    if pmu >= threshold:
+                                        n = j + 1
+                                        break
+                        except Exception:
+                            n = j
+                            fault = True
+                        else:
+                            fault = False
+                        frame.index = n
+                        thread.clock = clock
+                        thread.busy_cycles = busy
+                        thread.pmu_counter = pmu
+                        if n > i:
+                            task.last_clock = clock
+                        executed += n - i
+                        budget -= n - i
+                        if fault:
+                            executed += 1
+                            self._fault(thread, task, frame, n)
+                        if sampling and pmu >= threshold:
+                            overflow(thread, False)
+                        if has_skid:
+                            deliver(thread)
+                        continue
                     executed += 1
                     budget -= 1
                     try:
-                        cost = steps[i](thread, task, frame)
+                        cost = handlers[i](thread, task, frame, instrs[i])
                     except ProgramHalt:
                         raise
                     except ExecutionError:
                         raise
                     except RuntimeError_ as exc:
-                        raise interp._error(
-                            str(exc), frame.block.instructions[frame.index], task
-                        ) from exc
+                        raise interp._error(str(exc), instrs[i], task) from exc
                     scaled = cost * penalty
                     thread.clock += scaled
                     thread.busy_cycles += scaled
@@ -196,7 +230,7 @@ class FastEngine:
                             overflow(thread, False)
                     if has_skid:
                         deliver(thread)
-                    if flags[i]:
+                    if transfers[i]:
                         # Control transfer / possible task switch: fall
                         # back out to re-resolve task, frame, and plan.
                         task = thread.task
@@ -204,878 +238,410 @@ class FastEngine:
         finally:
             interp.instructions_executed += executed
 
+    def _fault(self, thread, task, frame, i: int) -> None:
+        """Instruction ``i``'s step raised: re-executes it with the
+        generic handler, which raises the generic loop's error."""
+        interp = self.interp
+        instr = frame.block.instructions[i]
+        try:
+            interp._dispatch[type(instr)](thread, task, frame, instr)
+        except RuntimeError_ as exc:
+            raise interp._error(str(exc), instr, task) from exc
+        raise RuntimeError(
+            f"fast engine: the {instr.opname} step raised where the generic handler does not"
+        )
+
     # -- plan construction -----------------------------------------------------
 
     def _build_plan(self, block) -> tuple:
+        instrs = block.instructions
+        dispatch = self.interp._dispatch
         steps = []
-        flags = []
-        for instr in block.instructions:
+        handlers = []
+        for instr in instrs:
             factory = self._factories.get(type(instr))
-            steps.append(factory(instr) if factory is not None else self._delegate(instr))
-            flags.append(isinstance(instr, _TRANSFERS))
-        return (block, steps, flags)
+            step = factory(instr) if factory is not None else None
+            steps.append(step)
+            handlers.append(
+                None if step is not None else dispatch.get(type(instr), self._no_handler)
+            )
+        # ends[i]: one past the stretch of register-only steps that
+        # starts at i (i itself when instruction i has none).
+        ends = [0] * len(instrs)
+        end = len(instrs)
+        for i in range(len(instrs) - 1, -1, -1):
+            if steps[i] is None:
+                end = i
+            ends[i] = end
+        transfers = [isinstance(instr, _TRANSFERS) for instr in instrs]
+        return (block, steps, ends, handlers, transfers)
 
-    def _delegate(self, instr):
-        """Generic-handler fallback for uncommon instructions."""
+    def _no_handler(self, thread, task, frame, instr):
+        raise self.interp._error(f"no handler for {instr.opname}", instr, task)
+
+    # -- register-only steps ---------------------------------------------------
+    # Each factory returns ``step(regs) -> cost`` mirroring the
+    # corresponding Interpreter._ex_* handler (same mutations, same
+    # costs), or None for an operand shape it does not take.  A step
+    # reads a register ``r`` or constant ``v`` operand as
+    # ``regs[r] if r is not None else v``.
+
+    def _alloca(self, instr):
+        def step(regs, _r=instr.result.rid, _c=self.costs.alloca):
+            regs[_r] = ([None], 0)
+            return _c
+
+        return step
+
+    def _load(self, instr):
         interp = self.interp
-        handler = interp._dispatch.get(type(instr))
-        if handler is None:
-
-            def step(thread, task, frame, _instr=instr, _interp=interp):
-                raise _interp._error(f"no handler for {_instr.opname}", _instr, task)
-
-            return step
-
-        def step(thread, task, frame, _h=handler, _instr=instr):
-            return _h(thread, task, frame, _instr)
-
-        return step
-
-    # -- specialized steps -----------------------------------------------------
-    # Each mirrors the corresponding Interpreter._ex_* handler exactly:
-    # same mutations, same costs, same error messages, raising before
-    # frame.index advances.
-
-    def _sp_alloca(self, instr):
-        rid = instr.result.rid
-        cost = self.interp.cost_model.alloca
-
-        def step(thread, task, frame, _rid=rid, _cost=cost):
-            frame.regs[_rid] = ([None], 0)
-            frame.index += 1
-            return _cost
-
-        return step
-
-    def _sp_load(self, instr):
-        rid = instr.result.rid
-        cost = self.interp.cost_model.load
         addr = instr.addr
-
-        if isinstance(addr, I.Register):
-            msg = f"register {addr} read before definition"
-
-            def step(thread, task, frame, _ra=addr.rid, _rid=rid, _cost=cost, _msg=msg):
-                regs = frame.regs
-                try:
-                    lst, i = regs[_ra]
-                except KeyError:
-                    raise RuntimeError_(_msg)
-                regs[_rid] = lst[i]
-                frame.index += 1
-                return _cost
-
-            return step
-
-        get = _make_getter(self.interp, addr)
-
-        def step(thread, task, frame, _get=get, _rid=rid, _cost=cost):
-            lst, i = _get(frame)
-            frame.regs[_rid] = lst[i]
-            frame.index += 1
-            return _cost
-
-        return step
-
-    def _sp_store(self, instr):
-        interp = self.interp
-        base = interp.cost_model.store
-        per_slot = interp.cost_model.copy_per_slot
-        val, addr = instr.value, instr.addr
-
-        if isinstance(val, (I.Register, I.Constant)) and isinstance(addr, I.Register):
-            vr = val.rid if isinstance(val, I.Register) else None
-            vv = val.value if isinstance(val, I.Constant) else None
-            vmsg = f"register {val} read before definition"
-            amsg = f"register {addr} read before definition"
-
-            def step(
-                thread, task, frame, _vr=vr, _vv=vv, _ar=addr.rid,
-                _base=base, _ps=per_slot, _vm=vmsg, _am=amsg,
-            ):
-                regs = frame.regs
-                try:
-                    value = regs[_vr] if _vr is not None else _vv
-                    lst, i = regs[_ar]
-                except KeyError:
-                    raise RuntimeError_(
-                        _vm if _vr is not None and _vr not in regs else _am
-                    )
-                if isinstance(value, (TupleValue, RecordValue)):
-                    cost = _base + _ps * value_slots(value)
-                    value = copy_value(value)
-                else:
-                    cost = _base
-                lst[i] = value
-                frame.index += 1
-                return cost
-
-            return step
-
-        getv = _make_getter(interp, val)
-        geta = _make_getter(interp, addr)
-
-        def step(thread, task, frame, _gv=getv, _ga=geta, _base=base, _ps=per_slot):
-            value = _gv(frame)
-            lst, i = _ga(frame)
-            if isinstance(value, (TupleValue, RecordValue)):
-                cost = _base + _ps * value_slots(value)
-                value = copy_value(value)
-            else:
-                cost = _base
-            lst[i] = value
-            frame.index += 1
-            return cost
-
-        return step
-
-    def _sp_field_addr(self, instr):
-        interp = self.interp
         rid = instr.result.rid
-        index = instr.index
-        rec_cost = interp.cost_model.field_addr
-        cls_cost = rec_cost + interp.cost_model.class_field_extra
+        cost = self.costs.load
+        if isinstance(addr, I.Register):
 
-        if isinstance(instr.base, I.Register):
-            msg = f"register {instr.base} read before definition"
-
-            def step(
-                thread, task, frame, _rb=instr.base.rid, _rid=rid, _ix=index,
-                _rc=rec_cost, _cc=cls_cost, _msg=msg,
-            ):
-                regs = frame.regs
-                try:
-                    base = regs[_rb]
-                except KeyError:
-                    raise RuntimeError_(_msg)
-                if isinstance(base, tuple):
-                    obj = base[0][base[1]]
-                else:
-                    obj = base
-                if obj is None:
-                    raise RuntimeError_("field access through nil")
-                if isinstance(obj, ClassValue):
-                    cost = _cc
-                elif isinstance(obj, RecordValue):
-                    cost = _rc
-                else:
-                    raise RuntimeError_(
-                        f"field access on non-record value {type(obj).__name__}"
-                    )
-                regs[_rid] = (obj.fields, _ix)
-                frame.index += 1
-                return cost
+            def step(regs, _a=addr.rid, _r=rid, _c=cost):
+                lst, i = regs[_a]
+                regs[_r] = lst[i]
+                return _c
 
             return step
+        if isinstance(addr, I.GlobalRef):
 
-        get = _make_getter(interp, instr.base)
+            def step(
+                regs, _s=interp.globals_store, _n=addr.name, _g=addr,
+                _new=interp._global_box, _r=rid, _c=cost,
+            ):
+                regs[_r] = (_s.get(_n) or _new(_g))[0]
+                return _c
+
+            return step
+        return None
+
+    def _store(self, instr):
+        interp = self.interp
+        value = _operand(instr.value)
+        addr = instr.addr
+        if value is None or not isinstance(addr, (I.Register, I.GlobalRef)):
+            return None
+        is_reg = isinstance(addr, I.Register)
 
         def step(
-            thread, task, frame, _get=get, _rid=rid, _ix=index, _rc=rec_cost, _cc=cls_cost
+            regs, _vr=value[0], _vv=value[1], _a=addr.rid if is_reg else None,
+            _s=interp.globals_store, _n=None if is_reg else addr.name, _g=addr,
+            _new=interp._global_box, _b=self.costs.store,
+            _ps=self.costs.copy_per_slot,
         ):
-            base = _get(frame)
-            if isinstance(base, tuple):
-                obj = base[0][base[1]]
+            v = regs[_vr] if _vr is not None else _vv
+            if _a is not None:
+                lst, i = regs[_a]
             else:
-                obj = base
-            if obj is None:
-                raise RuntimeError_("field access through nil")
-            if isinstance(obj, ClassValue):
-                cost = _cc
-            elif isinstance(obj, RecordValue):
-                cost = _rc
+                lst = _s.get(_n) or _new(_g)
+                i = 0
+            if type(v) in _VALUE_AGGREGATES:
+                cost = _b + _ps * value_slots(v)
+                v = v.copy()
             else:
-                raise RuntimeError_(
-                    f"field access on non-record value {type(obj).__name__}"
-                )
-            frame.regs[_rid] = (obj.fields, _ix)
-            frame.index += 1
+                cost = _b
+            lst[i] = v
             return cost
 
         return step
 
-    def _sp_elem_addr(self, instr):
+    def _field_addr(self, instr):
+        if not isinstance(instr.base, I.Register):
+            return None
+        cm = self.costs
+
+        def step(
+            regs, _b=instr.base.rid, _r=instr.result.rid, _ix=instr.index,
+            _rc=cm.field_addr, _cc=cm.field_addr + cm.class_field_extra,
+        ):
+            base = regs[_b]
+            obj = base[0][base[1]] if isinstance(base, tuple) else base
+            if type(obj) is ClassValue:
+                cost = _cc
+            elif type(obj) is RecordValue:
+                cost = _rc
+            else:
+                raise _Fault
+            regs[_r] = (obj.fields, _ix)
+            return cost
+
+        return step
+
+    def _elem_addr(self, instr):
         interp = self.interp
-        cm = interp.cost_model
-        getb = _make_getter(interp, instr.base)
-        getters = [_make_getter(interp, ix) for ix in instr.indices]
-        rid = instr.result.rid
-        base_cost = cm.elem_addr
+        cm = self.costs
+        indices = [_operand(ix) for ix in instr.indices]
+        if not isinstance(instr.base, I.Register) or None in indices:
+            return None
+        cost = cm.elem_addr
         if any(not isinstance(ix, I.Constant) for ix in instr.indices):
-            base_cost += cm.elem_addr_dynamic_extra
-        reindex_extra = cm.elem_addr_reindex_extra
-        llc = cm.llc_bytes
-        stall = cm.mem_stall
-        heap = interp.heap
+            cost += cm.elem_addr_dynamic_extra
+        base, rid = instr.base.rid, instr.result.rid
+        re, heap, llc, stall = cm.elem_addr_reindex_extra, interp.heap, cm.llc_bytes, cm.mem_stall
 
-        if len(getters) == 1:
-            ix = instr.indices[0]
-            if isinstance(instr.base, I.Register) and isinstance(
-                ix, (I.Register, I.Constant)
-            ):
-                bmsg = f"register {instr.base} read before definition"
-                imsg = f"register {ix} read before definition"
-                ir = ix.rid if isinstance(ix, I.Register) else None
-                iv = ix.value if isinstance(ix, I.Constant) else None
-
-                def step(
-                    thread,
-                    task,
-                    frame,
-                    _rb=instr.base.rid,
-                    _ir=ir,
-                    _iv=iv,
-                    _rid=rid,
-                    _base=base_cost,
-                    _re=reindex_extra,
-                    _heap=heap,
-                    _llc=llc,
-                    _stall=stall,
-                    _bm=bmsg,
-                    _im=imsg,
-                ):
-                    regs = frame.regs
-                    try:
-                        arr = regs[_rb]
-                    except KeyError:
-                        raise RuntimeError_(_bm)
-                    if not isinstance(arr, ArrayValue):
-                        raise RuntimeError_("indexing a non-array value")
-                    try:
-                        c = regs[_ir] if _ir is not None else _iv
-                    except KeyError:
-                        raise RuntimeError_(_im)
-                    regs[_rid] = (arr.root.data, arr.flat_of((c,)))
-                    frame.index += 1
-                    cost = _base
-                    if arr.is_reindex:
-                        cost += _re
-                    if _heap._live_bytes > _llc:
-                        cost += _stall
-                    return cost
-
-                return step
-
-            g0 = getters[0]
-
+        if len(indices) == 1:
+            # A root rank-1 unit-step array carries its bounds, so an
+            # in-range index needs no flat_of call.
             def step(
-                thread,
-                task,
-                frame,
-                _gb=getb,
-                _g0=g0,
-                _rid=rid,
-                _base=base_cost,
-                _re=reindex_extra,
-                _heap=heap,
-                _llc=llc,
-                _stall=stall,
+                regs, _b=base, _ir=indices[0][0], _iv=indices[0][1], _r=rid, _c=cost,
+                _re=re, _heap=heap, _llc=llc, _st=stall,
             ):
-                arr = _gb(frame)
-                if not isinstance(arr, ArrayValue):
-                    raise RuntimeError_("indexing a non-array value")
-                frame.regs[_rid] = (arr.root.data, arr.flat_of((_g0(frame),)))
-                frame.index += 1
-                cost = _base
+                arr = regs[_b]
+                c = regs[_ir] if _ir is not None else _iv
+                if type(arr) is not ArrayValue:
+                    raise _Fault
+                lo = arr.lo
+                if lo <= c <= arr.hi:
+                    regs[_r] = (arr.data, c - lo)
+                else:
+                    regs[_r] = (arr.root.data, arr.flat_of((c,)))
+                cost = _c
                 if arr.is_reindex:
                     cost += _re
                 if _heap._live_bytes > _llc:
-                    cost += _stall
+                    cost += _st
                 return cost
 
             return step
 
+        consts = tuple(v for _, v in indices) if all(r is None for r, _ in indices) else None
+
         def step(
-            thread,
-            task,
-            frame,
-            _gb=getb,
-            _gs=getters,
-            _rid=rid,
-            _base=base_cost,
-            _re=reindex_extra,
-            _heap=heap,
-            _llc=llc,
-            _stall=stall,
+            regs, _b=base, _ix=tuple(indices), _k=consts, _r=rid, _c=cost, _re=re,
+            _heap=heap, _llc=llc, _st=stall,
         ):
-            arr = _gb(frame)
-            if not isinstance(arr, ArrayValue):
-                raise RuntimeError_("indexing a non-array value")
-            coords = tuple(g(frame) for g in _gs)
-            frame.regs[_rid] = (arr.root.data, arr.flat_of(coords))
-            frame.index += 1
-            cost = _base
+            arr = regs[_b]
+            if _k is not None:
+                coords = _k
+            else:
+                coords = tuple([regs[r] if r is not None else v for r, v in _ix])
+            if type(arr) is not ArrayValue:
+                raise _Fault
+            regs[_r] = (arr.root.data, arr.flat_of(coords))
+            cost = _c
             if arr.is_reindex:
                 cost += _re
             if _heap._live_bytes > _llc:
-                cost += _stall
+                cost += _st
             return cost
 
         return step
 
-    def _sp_tuple_elem_addr(self, instr):
-        interp = self.interp
-        getb = _make_getter(interp, instr.base)
-        getk = _make_getter(interp, instr.index)
-        rid = instr.result.rid
-        cost = interp.cost_model.tuple_elem_addr
+    def _tuple_elem_addr(self, instr):
+        index = _operand(instr.index)
+        if not isinstance(instr.base, I.Register) or index is None:
+            return None
+        cm = self.costs
+        cost = cm.tuple_elem_addr
         if not isinstance(instr.index, I.Constant):
-            cost += interp.cost_model.tuple_index_dynamic_extra
+            cost += cm.tuple_index_dynamic_extra
 
-        def step(thread, task, frame, _gb=getb, _gk=getk, _rid=rid, _cost=cost):
-            lst, i = _gb(frame)
+        def step(regs, _b=instr.base.rid, _kr=index[0], _kv=index[1], _r=instr.result.rid, _c=cost):
+            lst, i = regs[_b]
             tup = lst[i]
-            if not isinstance(tup, TupleValue):
-                raise RuntimeError_("tuple element access on non-tuple")
-            k = _gk(frame)
-            if not 0 <= k < len(tup.elems):
-                raise RuntimeError_(
-                    f"tuple index {k} out of range 0..{len(tup.elems) - 1}"
-                )
-            frame.regs[_rid] = (tup.elems, k)
-            frame.index += 1
-            return _cost
+            k = regs[_kr] if _kr is not None else _kv
+            if type(tup) is not TupleValue or not 0 <= k < len(tup.elems):
+                raise _Fault
+            regs[_r] = (tup.elems, k)
+            return _c
 
         return step
 
-    def _sp_binop(self, instr):
-        interp = self.interp
-        cm = interp.cost_model
+    def _binop(self, instr):
+        lhs, rhs = _operand(instr.lhs), _operand(instr.rhs)
+        if lhs is None or rhs is None:
+            return None
+        cm = self.costs
         op = instr.op
-        lhs, rhs = instr.lhs, instr.rhs
-        rid = instr.result.rid
-        generic = interp._ex_binop
-
-        if (
-            isinstance(lhs, (I.Register, I.Constant))
-            and isinstance(rhs, (I.Register, I.Constant))
-            and (op in _CMP_FNS or op in _ARITH_FNS or op in ("/", "%", "**"))
-        ):
-            return self._sp_binop_inline(instr, op, lhs, rhs, rid, generic)
-
-        ga = _make_getter(interp, lhs)
-        gb = _make_getter(interp, rhs)
-
+        # (cost of a float result, cost of any other result), as
+        # Interpreter._ex_binop charges them.
         if op in _CMP_FNS:
-            fn = _CMP_FNS[op]
-            cost = cm.cmp_op
-
-            def step(
-                thread, task, frame, _ga=ga, _gb=gb, _rid=rid, _fn=fn, _cost=cost,
-                _gen=generic, _in=instr,
-            ):
-                a = _ga(frame)
-                b = _gb(frame)
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                frame.regs[_rid] = _fn(a, b)
-                frame.index += 1
-                return _cost
-
-            return step
-
-        if op in _ARITH_FNS:
-            fn = _ARITH_FNS[op]
-            int_c = cm.int_op
-            real_c = cm.real_op
-
-            def step(
-                thread, task, frame, _ga=ga, _gb=gb, _rid=rid, _fn=fn,
-                _ic=int_c, _rc=real_c, _gen=generic, _in=instr,
-            ):
-                a = _ga(frame)
-                b = _gb(frame)
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                r = _fn(a, b)
-                frame.regs[_rid] = r
-                frame.index += 1
-                return _rc if isinstance(r, float) else _ic
-
-            return step
-
-        if op == "/":
-            int_c = cm.int_op
-            real_div = cm.real_div
-
-            def step(
-                thread, task, frame, _ga=ga, _gb=gb, _rid=rid,
-                _ic=int_c, _rd=real_div, _gen=generic, _in=instr,
-            ):
-                a = _ga(frame)
-                b = _gb(frame)
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                if isinstance(a, int) and isinstance(b, int):
-                    r = _idiv(a, b)
-                    cost = _ic
-                else:
-                    if b == 0:
-                        raise RuntimeError_("division by zero")
-                    r = a / b
-                    cost = _rd if isinstance(r, float) else _ic
-                frame.regs[_rid] = r
-                frame.index += 1
-                return cost
-
-            return step
-
-        if op == "%":
-            int_c = cm.int_op
-            real_c = cm.real_op
-
-            def step(
-                thread, task, frame, _ga=ga, _gb=gb, _rid=rid,
-                _ic=int_c, _rc=real_c, _gen=generic, _in=instr,
-            ):
-                a = _ga(frame)
-                b = _gb(frame)
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                if isinstance(a, int) and isinstance(b, int):
-                    r = _imod(a, b)
-                    cost = _ic
-                else:
-                    r = a % b
-                    cost = _rc if isinstance(r, float) else _ic
-                frame.regs[_rid] = r
-                frame.index += 1
-                return cost
-
-            return step
-
-        if op == "**":
-            pow_c = cm.real_pow
-
-            def step(
-                thread, task, frame, _ga=ga, _gb=gb, _rid=rid, _pc=pow_c,
-                _gen=generic, _in=instr,
-            ):
-                a = _ga(frame)
-                b = _gb(frame)
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                frame.regs[_rid] = a**b
-                frame.index += 1
-                return _pc
-
-            return step
-
-        # Unknown operator: the generic handler raises with the right
-        # message (and would also own any future operator's costs).
-        return self._delegate(instr)
-
-    def _sp_binop_inline(self, instr, op, lhs, rhs, rid, generic):
-        """BinOp steps with operand reads inlined (no getter closures).
-
-        Both operands are registers or constants; ``_ra``/``_rb`` hold a
-        rid (register read) or None (use the bound constant).  Operands
-        are read left-to-right, so the undefined-register message names
-        the same operand as the getter-based path.
-        """
-        cm = self.interp.cost_model
-        ra = lhs.rid if isinstance(lhs, I.Register) else None
-        va = lhs.value if isinstance(lhs, I.Constant) else None
-        rb = rhs.rid if isinstance(rhs, I.Register) else None
-        vb = rhs.value if isinstance(rhs, I.Constant) else None
-        ma = f"register {lhs} read before definition"
-        mb = f"register {rhs} read before definition"
-
-        if op in _CMP_FNS:
-            fn = _CMP_FNS[op]
-            cost = cm.cmp_op
-
-            def step(
-                thread, task, frame, _ra=ra, _va=va, _rb=rb, _vb=vb, _rid=rid,
-                _fn=fn, _cost=cost, _gen=generic, _in=instr, _ma=ma, _mb=mb,
-            ):
-                regs = frame.regs
-                try:
-                    a = regs[_ra] if _ra is not None else _va
-                    b = regs[_rb] if _rb is not None else _vb
-                except KeyError:
-                    raise RuntimeError_(
-                        _ma if _ra is not None and _ra not in regs else _mb
-                    )
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                regs[_rid] = _fn(a, b)
-                frame.index += 1
-                return _cost
-
-            return step
-
-        if op in _ARITH_FNS:
-            fn = _ARITH_FNS[op]
-            int_c = cm.int_op
-            real_c = cm.real_op
-
-            def step(
-                thread, task, frame, _ra=ra, _va=va, _rb=rb, _vb=vb, _rid=rid,
-                _fn=fn, _ic=int_c, _rc=real_c, _gen=generic, _in=instr, _ma=ma, _mb=mb,
-            ):
-                regs = frame.regs
-                try:
-                    a = regs[_ra] if _ra is not None else _va
-                    b = regs[_rb] if _rb is not None else _vb
-                except KeyError:
-                    raise RuntimeError_(
-                        _ma if _ra is not None and _ra not in regs else _mb
-                    )
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                r = _fn(a, b)
-                regs[_rid] = r
-                frame.index += 1
-                return _rc if isinstance(r, float) else _ic
-
-            return step
-
-        if op == "/":
-            int_c = cm.int_op
-            real_div = cm.real_div
-
-            def step(
-                thread, task, frame, _ra=ra, _va=va, _rb=rb, _vb=vb, _rid=rid,
-                _ic=int_c, _rd=real_div, _gen=generic, _in=instr, _ma=ma, _mb=mb,
-            ):
-                regs = frame.regs
-                try:
-                    a = regs[_ra] if _ra is not None else _va
-                    b = regs[_rb] if _rb is not None else _vb
-                except KeyError:
-                    raise RuntimeError_(
-                        _ma if _ra is not None and _ra not in regs else _mb
-                    )
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                if isinstance(a, int) and isinstance(b, int):
-                    r = _idiv(a, b)
-                    cost = _ic
-                else:
-                    if b == 0:
-                        raise RuntimeError_("division by zero")
-                    r = a / b
-                    cost = _rd if isinstance(r, float) else _ic
-                regs[_rid] = r
-                frame.index += 1
-                return cost
-
-            return step
-
-        if op == "%":
-            int_c = cm.int_op
-            real_c = cm.real_op
-
-            def step(
-                thread, task, frame, _ra=ra, _va=va, _rb=rb, _vb=vb, _rid=rid,
-                _ic=int_c, _rc=real_c, _gen=generic, _in=instr, _ma=ma, _mb=mb,
-            ):
-                regs = frame.regs
-                try:
-                    a = regs[_ra] if _ra is not None else _va
-                    b = regs[_rb] if _rb is not None else _vb
-                except KeyError:
-                    raise RuntimeError_(
-                        _ma if _ra is not None and _ra not in regs else _mb
-                    )
-                if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                    return _gen(thread, task, frame, _in)
-                if isinstance(a, int) and isinstance(b, int):
-                    r = _imod(a, b)
-                    cost = _ic
-                else:
-                    r = a % b
-                    cost = _rc if isinstance(r, float) else _ic
-                regs[_rid] = r
-                frame.index += 1
-                return cost
-
-            return step
-
-        pow_c = cm.real_pow
+            fc = ic = cm.cmp_op
+        elif op == "**":
+            fc = ic = cm.real_pow
+        elif op == "/":
+            fc, ic = cm.real_div, cm.int_op
+        else:
+            fc, ic = cm.real_op, cm.int_op
+        fn = _CMP_FNS.get(op) or _ARITH_FNS.get(op) or partial(_binop_scalar, op)
 
         def step(
-            thread, task, frame, _ra=ra, _va=va, _rb=rb, _vb=vb, _rid=rid,
-            _pc=pow_c, _gen=generic, _in=instr, _ma=ma, _mb=mb,
+            regs, _ra=lhs[0], _va=lhs[1], _rb=rhs[0], _vb=rhs[1], _r=instr.result.rid,
+            _fn=fn, _fc=fc, _ic=ic, _op=op, _cm=cm,
         ):
-            regs = frame.regs
-            try:
-                a = regs[_ra] if _ra is not None else _va
-                b = regs[_rb] if _rb is not None else _vb
-            except KeyError:
-                raise RuntimeError_(
-                    _ma if _ra is not None and _ra not in regs else _mb
-                )
-            if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-                return _gen(thread, task, frame, _in)
-            regs[_rid] = a**b
-            frame.index += 1
-            return _pc
+            a = regs[_ra] if _ra is not None else _va
+            b = regs[_rb] if _rb is not None else _vb
+            if type(a) is TupleValue or type(b) is TupleValue:
+                out, cost = _tuple_binop(_op, a, b, _cm)
+                regs[_r] = out
+                return cost
+            out = _fn(a, b)
+            regs[_r] = out
+            return _fc if type(out) is float else _ic
 
         return step
 
-    def _sp_unop(self, instr):
-        interp = self.interp
-        cm = interp.cost_model
-        get = _make_getter(interp, instr.operand)
+    def _unop(self, instr):
+        operand = _operand(instr.operand)
+        if operand is None:
+            return None
+        cm = self.costs
+        vr, vv = operand
         rid = instr.result.rid
-
         if instr.op == "-":
-            int_c = cm.int_op
-            slot_c = cm.tuple_op_per_slot
 
-            def step(thread, task, frame, _g=get, _rid=rid, _ic=int_c, _sc=slot_c):
-                v = _g(frame)
-                if isinstance(v, TupleValue):
-                    out = TupleValue([-x for x in v.elems])
-                    cost = _sc * len(v.elems)
-                else:
-                    out = -v
-                    cost = _ic
-                frame.regs[_rid] = out
-                frame.index += 1
-                return cost
-
-            return step
-
-        if instr.op == "!":
-            int_c = cm.int_op
-
-            def step(thread, task, frame, _g=get, _rid=rid, _ic=int_c):
-                frame.regs[_rid] = not _g(frame)
-                frame.index += 1
+            def step(regs, _vr=vr, _vv=vv, _r=rid, _ic=cm.int_op, _sc=cm.tuple_op_per_slot):
+                v = regs[_vr] if _vr is not None else _vv
+                if type(v) is TupleValue:
+                    regs[_r] = TupleValue([-x for x in v.elems])
+                    return _sc * len(v.elems)
+                regs[_r] = -v
                 return _ic
 
             return step
+        if instr.op == "!":
 
-        return self._delegate(instr)
+            def step(regs, _vr=vr, _vv=vv, _r=rid, _ic=cm.int_op):
+                regs[_r] = not (regs[_vr] if _vr is not None else _vv)
+                return _ic
 
-    def _sp_cast(self, instr):
-        interp = self.interp
-        get = _make_getter(interp, instr.value)
-        rid = instr.result.rid
-        cost = interp.cost_model.int_op
+            return step
+        return None
+
+    def _cast(self, instr):
+        value = _operand(instr.value)
+        if value is None:
+            return None
         ty = instr.result.type
         conv = float if isinstance(ty, RealType) else int if isinstance(ty, IntType) else None
 
-        if conv is None:
-
-            def step(thread, task, frame, _g=get, _rid=rid, _cost=cost):
-                frame.regs[_rid] = _g(frame)
-                frame.index += 1
-                return _cost
-
-            return step
-
-        def step(thread, task, frame, _g=get, _rid=rid, _conv=conv, _cost=cost):
-            frame.regs[_rid] = _conv(_g(frame))
-            frame.index += 1
-            return _cost
+        def step(
+            regs, _vr=value[0], _vv=value[1], _r=instr.result.rid, _conv=conv,
+            _c=self.costs.int_op,
+        ):
+            v = regs[_vr] if _vr is not None else _vv
+            regs[_r] = _conv(v) if _conv is not None else v
+            return _c
 
         return step
 
-    def _sp_br(self, instr):
-        target = instr.target
-        cost = self.interp.cost_model.br
-
-        def step(thread, task, frame, _t=target, _cost=cost):
-            frame.block = _t
-            frame.index = 0
-            return _cost
-
-        return step
-
-    def _sp_cbr(self, instr):
-        cond = instr.cond
-        then_block = instr.then_block
-        else_block = instr.else_block
-        cost = self.interp.cost_model.cbr
-
-        if isinstance(cond, I.Register):
-            msg = f"register {cond} read before definition"
-
-            def step(
-                thread, task, frame, _rc=cond.rid, _t=then_block, _e=else_block,
-                _cost=cost, _msg=msg,
-            ):
-                try:
-                    c = frame.regs[_rc]
-                except KeyError:
-                    raise RuntimeError_(_msg)
-                frame.block = _t if c else _e
-                frame.index = 0
-                return _cost
-
-            return step
-
-        get = _make_getter(self.interp, cond)
-
-        def step(thread, task, frame, _g=get, _t=then_block, _e=else_block, _cost=cost):
-            frame.block = _t if _g(frame) else _e
-            frame.index = 0
-            return _cost
-
-        return step
-
-    def _sp_make_range(self, instr):
-        interp = self.interp
-        gl = _make_getter(interp, instr.ops[0])
-        gh = _make_getter(interp, instr.ops[1])
-        gs = _make_getter(interp, instr.ops[2])
-        rid = instr.result.rid
-        counted = instr.counted
-        cost = interp.cost_model.make_range
+    def _make_range(self, instr):
+        ops = [_operand(op) for op in instr.ops[:3]]
+        if None in ops:
+            return None
+        (lr, lv), (hr, hv), (sr, sv) = ops
 
         def step(
-            thread, task, frame, _gl=gl, _gh=gh, _gs=gs, _rid=rid, _ct=counted, _cost=cost
+            regs, _lr=lr, _lv=lv, _hr=hr, _hv=hv, _sr=sr, _sv=sv, _r=instr.result.rid,
+            _ct=instr.counted, _c=self.costs.make_range,
         ):
-            lo = _gl(frame)
-            hi = _gh(frame)
-            step_ = _gs(frame)
+            lo = regs[_lr] if _lr is not None else _lv
+            hi = regs[_hr] if _hr is not None else _hv
+            by = regs[_sr] if _sr is not None else _sv
             if _ct:
-                hi = lo + (hi - 1) * abs(step_) if step_ != 1 else lo + hi - 1
-            frame.regs[_rid] = RangeValue(lo, hi, step_)
-            frame.index += 1
-            return _cost
+                hi = lo + (hi - 1) * abs(by) if by != 1 else lo + hi - 1
+            regs[_r] = RangeValue(lo, hi, by)
+            return _c
 
         return step
 
-    def _sp_make_tuple(self, instr):
-        interp = self.interp
-        getters = [_make_getter(interp, e) for e in instr.ops]
-        rid = instr.result.rid
-        base = interp.cost_model.make_tuple_base
-        per_slot = interp.cost_model.make_tuple_per_slot
+    def _make_tuple(self, instr):
+        ops = [_operand(op) for op in instr.ops]
+        if None in ops:
+            return None
+        cm = self.costs
 
-        def step(thread, task, frame, _gs=getters, _rid=rid, _base=base, _ps=per_slot):
-            tup = TupleValue([copy_value(g(frame)) for g in _gs])
-            frame.regs[_rid] = tup
-            frame.index += 1
-            return _base + _ps * value_slots(tup)
+        def step(
+            regs, _ops=tuple(ops), _r=instr.result.rid, _b=cm.make_tuple_base,
+            _ps=cm.make_tuple_per_slot,
+        ):
+            tup = TupleValue([copy_value(regs[r] if r is not None else v) for r, v in _ops])
+            regs[_r] = tup
+            return _b + _ps * value_slots(tup)
 
         return step
 
-    def _sp_tuple_get(self, instr):
-        interp = self.interp
-        gt = _make_getter(interp, instr.tup)
-        gk = _make_getter(interp, instr.index)
-        rid = instr.result.rid
-        cost = interp.cost_model.tuple_get
+    def _tuple_get(self, instr):
+        tup, index = _operand(instr.tup), _operand(instr.index)
+        if tup is None or index is None:
+            return None
+        cm = self.costs
+        cost = cm.tuple_get
         if not isinstance(instr.index, I.Constant):
-            cost += interp.cost_model.tuple_index_dynamic_extra
+            cost += cm.tuple_index_dynamic_extra
 
-        def step(thread, task, frame, _gt=gt, _gk=gk, _rid=rid, _cost=cost):
-            tup = _gt(frame)
-            k = _gk(frame)
-            if not isinstance(tup, TupleValue):
-                raise RuntimeError_("tuple access on non-tuple value")
-            if not 0 <= k < len(tup.elems):
-                raise RuntimeError_(f"tuple index {k} out of range")
-            frame.regs[_rid] = tup.elems[k]
-            frame.index += 1
-            return _cost
+        def step(
+            regs, _tr=tup[0], _tv=tup[1], _kr=index[0], _kv=index[1], _r=instr.result.rid,
+            _c=cost,
+        ):
+            t = regs[_tr] if _tr is not None else _tv
+            k = regs[_kr] if _kr is not None else _kv
+            if type(t) is not TupleValue or not 0 <= k < len(t.elems):
+                raise _Fault
+            regs[_r] = t.elems[k]
+            return _c
 
         return step
 
-    def _sp_iter_next(self, instr):
-        interp = self.interp
-        cm = interp.cost_model
-        get = _make_getter(interp, instr.state)
-        rid = instr.result.rid
+    def _iter_next(self, instr):
+        if not isinstance(instr.state, I.Register):
+            return None
+        cm = self.costs
         costs = {
             "range": cm.iter_next_range,
             "domain": cm.iter_next_domain,
             "array": cm.iter_next_array,
         }
-        zip_extra = cm.iter_next_zip_extra
 
-        if isinstance(instr.state, I.Register):
-            msg = f"register {instr.state} read before definition"
-
-            def step(
-                thread, task, frame, _rs=instr.state.rid, _rid=rid, _costs=costs,
-                _zx=zip_extra, _msg=msg,
-            ):
-                regs = frame.regs
-                try:
-                    state = regs[_rs]
-                except KeyError:
-                    raise RuntimeError_(_msg)
-                if not isinstance(state, IterState):
-                    raise RuntimeError_("iter_next on non-iterator")
-                pos = state.pos + 1
-                state.pos = pos
-                regs[_rid] = pos <= state.end
-                frame.index += 1
-                if state.zippered:
-                    return _costs[state.kind] + _zx
-                return _costs[state.kind]
-
-            return step
-
-        def step(thread, task, frame, _g=get, _rid=rid, _costs=costs, _zx=zip_extra):
-            state = _g(frame)
-            if not isinstance(state, IterState):
-                raise RuntimeError_("iter_next on non-iterator")
+        def step(
+            regs, _s=instr.state.rid, _r=instr.result.rid, _costs=costs,
+            _zx=cm.iter_next_zip_extra,
+        ):
+            state = regs[_s]
+            if type(state) is not IterState:
+                raise _Fault
+            cost = _costs[state.kind]
             pos = state.pos + 1
             state.pos = pos
-            frame.regs[_rid] = pos <= state.end
-            frame.index += 1
-            if state.zippered:
-                return _costs[state.kind] + _zx
-            return _costs[state.kind]
+            regs[_r] = pos <= state.end
+            return cost + _zx if state.zippered else cost
 
         return step
 
-    def _sp_iter_value(self, instr):
+    def _iter_value(self, instr):
+        if not isinstance(instr.state, I.Register):
+            return None
         interp = self.interp
-        cm = interp.cost_model
-        get = _make_getter(interp, instr.state)
-        rid = instr.result.rid
-        base = cm.iter_value
-        dom_cost = base + cm.iter_value_domain_extra
-        reindex_extra = cm.elem_addr_reindex_extra
-        llc = cm.llc_bytes
-        stall = cm.mem_stall
-        heap = interp.heap
+        cm = self.costs
 
         def step(
-            thread,
-            task,
-            frame,
-            _g=get,
-            _rid=rid,
-            _base=base,
-            _dc=dom_cost,
-            _re=reindex_extra,
-            _heap=heap,
-            _llc=llc,
-            _stall=stall,
+            regs, _s=instr.state.rid, _r=instr.result.rid, _base=cm.iter_value,
+            _dc=cm.iter_value + cm.iter_value_domain_extra,
+            _re=cm.elem_addr_reindex_extra, _heap=interp.heap, _llc=cm.llc_bytes,
+            _st=cm.mem_stall,
         ):
-            state = _g(frame)
-            if not isinstance(state, IterState):
-                raise RuntimeError_("iter_value on non-iterator")
+            state = regs[_s]
+            if type(state) is not IterState:
+                raise _Fault
             kind = state.kind
             if kind == "range":
-                frame.regs[_rid] = state.payload.nth(state.pos)
-                frame.index += 1
+                regs[_r] = state.payload.nth(state.pos)
                 return _base
             if kind == "domain":
                 dom = state.payload
                 coords = dom.coords_of(state.pos)
-                frame.regs[_rid] = coords[0] if dom.rank == 1 else TupleValue(list(coords))
-                frame.index += 1
+                regs[_r] = coords[0] if dom.rank == 1 else TupleValue(list(coords))
                 return _dc
             arr = state.payload
-            coords = arr.domain.coords_of(state.pos)
-            frame.regs[_rid] = (arr.root.data, arr.flat_of(coords))
-            frame.index += 1
+            regs[_r] = (arr.root.data, arr.flat_of(arr.domain.coords_of(state.pos)))
             cost = _dc
             if arr.is_reindex:
                 cost += _re
             if _heap._live_bytes > _llc:
-                cost += _stall
+                cost += _st
             return cost
 
         return step

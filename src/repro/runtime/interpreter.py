@@ -100,6 +100,58 @@ def _imod(a: int, b: int) -> int:
     return a - _idiv(a, b) * b
 
 
+def _binop_scalar(op: str, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if isinstance(a, int) and isinstance(b, int):
+            return _idiv(a, b)
+        if b == 0:
+            raise RuntimeError_("division by zero")
+        return a / b
+    if op == "%":
+        if isinstance(a, int) and isinstance(b, int):
+            return _imod(a, b)
+        return a % b
+    if op == "**":
+        return a**b
+    if op == "==":
+        return a == b
+    if op == "!=":
+        return a != b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    if op == "&&":
+        return a and b
+    if op == "||":
+        return a or b
+    raise RuntimeError_(f"unknown operator {op!r}")
+
+
+def _tuple_binop(op: str, a, b, cm: CostModel) -> tuple[TupleValue, int]:
+    """Elementwise ``a op b`` where ``a`` or ``b`` is a tuple (the other
+    side may be a scalar): the result and its cycle cost."""
+    if isinstance(a, TupleValue) and isinstance(b, TupleValue):
+        if len(a.elems) != len(b.elems):
+            raise RuntimeError_("tuple size mismatch in arithmetic")
+        elems = [_binop_scalar(op, x, y) for x, y in zip(a.elems, b.elems)]
+    elif isinstance(a, TupleValue):
+        elems = [_binop_scalar(op, x, b) for x in a.elems]
+    else:
+        elems = [_binop_scalar(op, a, y) for y in b.elems]
+    return TupleValue(elems), cm.tuple_op_per_slot * len(elems) + cm.make_tuple_base
+
+
 class Interpreter:
     """Executes a :class:`Module` and reports timing/allocation stats.
 
@@ -181,12 +233,14 @@ class Interpreter:
             I.SpawnJoin: self._ex_spawn_join,
         }
 
-        #: Execution engine: "fast" compiles per-block plans of
-        #: pre-bound step closures (see ``engine.py``); "generic" is the
-        #: reference dict-dispatch loop.  Both produce bit-identical
-        #: results (a tested invariant).  The fast engine does not
-        #: support instruction budgets, so ``max_instructions`` forces
-        #: the generic loop.
+        #: Execution engine: "fast" runs straight-line stretches of
+        #: register-only steps built once per block (see ``engine.py``);
+        #: "generic" is the reference dict-dispatch loop.  Both produce
+        #: bit-identical results (a tested invariant).  The fast engine
+        #: does not support instruction budgets, so ``max_instructions``
+        #: forces the generic loop.
+        if engine not in ("fast", "generic"):
+            raise ValueError(f"unknown engine {engine!r}: expected 'fast' or 'generic'")
         self.engine = engine
         self._fast_engine = None
         if engine == "fast" and max_instructions is None:
@@ -418,12 +472,17 @@ class Interpreter:
             except KeyError:
                 raise RuntimeError_(f"register {op} read before definition")
         if isinstance(op, I.GlobalRef):
-            box = self.globals_store.get(op.name)
-            if box is None:
-                box = [default_value(op.type)] if not _needs_none(op.type) else [None]
-                self.globals_store[op.name] = box
-            return (box, 0)
+            return (self._global_box(op), 0)
         raise RuntimeError_(f"unknown operand kind {type(op).__name__}")
+
+    def _global_box(self, ref: I.GlobalRef) -> list:
+        """A global's one-slot storage cell, created with the type's
+        default value on first use (the fast engine shares this)."""
+        box = self.globals_store.get(ref.name)
+        if box is None:
+            box = [default_value(ref.type)] if not _needs_none(ref.type) else [None]
+            self.globals_store[ref.name] = box
+        return box
 
     # -- instruction handlers ----------------------------------------------------
     # Each returns the cycle cost; frame.index advances here unless the
@@ -506,65 +565,16 @@ class Interpreter:
 
     # scalar/tuple arithmetic -----------------------------------------------------
 
-    def _binop_scalar(self, op: str, a, b):
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if isinstance(a, int) and isinstance(b, int):
-                return _idiv(a, b)
-            if b == 0:
-                raise RuntimeError_("division by zero")
-            return a / b
-        if op == "%":
-            if isinstance(a, int) and isinstance(b, int):
-                return _imod(a, b)
-            return a % b
-        if op == "**":
-            return a**b
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "&&":
-            return a and b
-        if op == "||":
-            return a or b
-        raise RuntimeError_(f"unknown operator {op!r}")
-
     def _ex_binop(self, thread, task, frame, instr: I.BinOp) -> int:
         a = self._val(frame, instr.lhs)
         b = self._val(frame, instr.rhs)
         cm = self.cost_model
         if isinstance(a, TupleValue) or isinstance(b, TupleValue):
-            if isinstance(a, TupleValue) and isinstance(b, TupleValue):
-                if len(a.elems) != len(b.elems):
-                    raise RuntimeError_("tuple size mismatch in arithmetic")
-                out = TupleValue(
-                    [self._binop_scalar(instr.op, x, y) for x, y in zip(a.elems, b.elems)]
-                )
-                n = len(a.elems)
-            elif isinstance(a, TupleValue):
-                out = TupleValue([self._binop_scalar(instr.op, x, b) for x in a.elems])
-                n = len(a.elems)
-            else:
-                out = TupleValue([self._binop_scalar(instr.op, a, y) for y in b.elems])
-                n = len(b.elems)
+            out, cost = _tuple_binop(instr.op, a, b, cm)
             frame.regs[instr.result.rid] = out
             frame.index += 1
-            return cm.tuple_op_per_slot * n + cm.make_tuple_base
-        result = self._binop_scalar(instr.op, a, b)
+            return cost
+        result = _binop_scalar(instr.op, a, b)
         frame.regs[instr.result.rid] = result
         frame.index += 1
         if instr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):

@@ -354,7 +354,7 @@ class TupleValue:
         self.elems = elems
 
     def copy(self) -> "TupleValue":
-        return TupleValue([copy_value(e) for e in self.elems])
+        return TupleValue([e.copy() if type(e) in _VALUE_AGGREGATES else e for e in self.elems])
 
     @property
     def size(self) -> int:
@@ -377,7 +377,9 @@ class RecordValue:
         self.fields = fields
 
     def copy(self) -> "RecordValue":
-        return RecordValue(self.type, [copy_value(f) for f in self.fields])
+        return RecordValue(
+            self.type, [f.copy() if type(f) in _VALUE_AGGREGATES else f for f in self.fields]
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -401,6 +403,14 @@ class ClassValue:
         return f"<{self.type.name}#{self.heap_id}>"
 
 
+#: Value-semantics aggregates: deep-copied on store.  Value classes are
+#: tested by identity (none is subclassed), which is cheaper than
+#: ``isinstance`` on the interpreter's hot paths.
+_VALUE_AGGREGATES = frozenset((TupleValue, RecordValue))
+#: Values whose slot footprint is the sum over their elements.
+_SLOTTED = frozenset((TupleValue, RecordValue, ClassValue))
+
+
 # ---------------------------------------------------------------------------
 # Arrays
 # ---------------------------------------------------------------------------
@@ -416,7 +426,9 @@ class ArrayValue:
       per-dimension delta; every access pays translation cost.
     """
 
-    __slots__ = ("domain", "elem_type", "data", "root", "deltas", "is_reindex", "heap_id")
+    __slots__ = (
+        "domain", "elem_type", "data", "root", "deltas", "is_reindex", "heap_id", "lo", "hi",
+    )
 
     def __init__(
         self,
@@ -436,6 +448,15 @@ class ArrayValue:
         self.deltas = deltas
         self.is_reindex = is_reindex
         self.heap_id = heap_id
+        #: A root rank-1 unit-step array's bounds: coordinate ``c`` with
+        #: ``lo <= c <= hi`` is at flat index ``c - lo``.  Every other
+        #: array gets the empty interval (1, 0) and goes through its
+        #: domain's ``flat_of``.
+        self.lo, self.hi = 1, 0
+        if root is None and isinstance(domain, DomainValue) and domain.rank == 1:
+            d = domain.dims[0]
+            if d.step == 1:
+                self.lo, self.hi = d.lo, d.hi
 
     @property
     def is_view(self) -> bool:
@@ -458,16 +479,11 @@ class ArrayValue:
             # there is no coordinate translation, so a single bounds
             # check (inside the domain's flat_of) suffices.  The
             # out-of-bounds message is textually identical to the view
-            # path's.  Irregular domains (sparse/associative) have no
-            # ``dims`` and take the generic flat_of path.
-            dom = self.domain
-            dims = getattr(dom, "dims", None)
-            if dims is not None and len(dims) == 1:
-                d = dims[0]
-                c = coords[0]
-                if d.step == 1 and d.lo <= c <= d.hi:
-                    return c - d.lo
-            return dom.flat_of(coords)
+            # path's.
+            c = coords[0]
+            if self.lo <= c <= self.hi:
+                return c - self.lo
+            return self.domain.flat_of(coords)
         if not self.domain.contains(coords):
             raise RuntimeError_(
                 f"index {coords} out of bounds for domain {self.domain}"
@@ -551,21 +567,20 @@ def default_value(ty: Type) -> object:
 def copy_value(v: object) -> object:
     """Value-semantics copy: tuples and records deep-copy; arrays,
     classes, ranges, domains and scalars pass through."""
-    if isinstance(v, TupleValue):
-        return v.copy()
-    if isinstance(v, RecordValue):
-        return v.copy()
-    return v
+    return v.copy() if type(v) in _VALUE_AGGREGATES else v
 
 
 def value_slots(v: object) -> int:
     """Scalar-slot footprint of a value (cost-model input for tuple and
     record construction/copy)."""
-    if isinstance(v, TupleValue):
-        return sum(value_slots(e) for e in v.elems)
-    if isinstance(v, (RecordValue, ClassValue)):
-        return sum(value_slots(f) for f in v.fields)
-    return 1
+    cls = type(v)
+    if cls is TupleValue:
+        items = v.elems
+    elif cls is RecordValue or cls is ClassValue:
+        items = v.fields
+    else:
+        return 1
+    return sum([value_slots(e) if type(e) in _SLOTTED else 1 for e in items])
 
 
 def _fmt(v: object) -> str:

@@ -142,11 +142,12 @@ def _load_artifact(path: str):
 
     try:
         return read_artifact(path)
-    except FileNotFoundError:
-        print(f"repro-profile: no such artifact: {path}", file=sys.stderr)
-        raise SystemExit(2) from None
     except ArtifactError as exc:
-        print(f"repro-profile: {path}: {exc}", file=sys.stderr)
+        if isinstance(exc.__cause__, FileNotFoundError):
+            print(f"repro-profile: no such artifact: {path}", file=sys.stderr)
+            raise SystemExit(2) from None
+        # Every ArtifactError from read_artifact starts with the path.
+        print(f"repro-profile: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
 
 

@@ -181,7 +181,8 @@ class TestStructure:
 
     def assert_rejected(self, tmp_path, lines, capsys, match):
         """``read_artifact`` raises the typed error at read time, and
-        ``view`` exits 1 with a one-line message instead of a trace."""
+        ``view`` exits 1 with a one-line message, naming the path once,
+        instead of a trace."""
         path = damaged(tmp_path, lines)
         with pytest.raises(ArtifactError, match=match):
             read_artifact(path)
@@ -189,7 +190,8 @@ class TestStructure:
             cli_main(["view", path, "--view", "all"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "repro-profile:" in err and "Traceback" not in err
+        assert err.startswith(f"repro-profile: {path}: ") and err.count(path) == 1
+        assert "Traceback" not in err
 
     def test_negative_string_index(self, artifact_path, tmp_path, capsys):
         # A negative index must not wrap around to the table's tail.

@@ -355,10 +355,11 @@ class TestProfileAndView:
         assert html.read_text().startswith("<!DOCTYPE html>")
 
     def test_view_missing_artifact(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cbp")
         with pytest.raises(SystemExit) as exc:
-            cli_main(["view", str(tmp_path / "missing.cbp")])
-        assert exc.value.code in (1, 2)
-        assert "repro-profile:" in capsys.readouterr().err
+            cli_main(["view", missing])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"repro-profile: no such artifact: {missing}\n"
 
     def test_view_corrupt_artifact_exits_1(self, artifact, tmp_path, capsys):
         lines = open(artifact).read().splitlines()
@@ -367,10 +368,24 @@ class TestProfileAndView:
         with pytest.raises(SystemExit) as exc:
             cli_main(["view", str(bad)])
         assert exc.value.code == 1
-        assert "truncated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "truncated" in err and err.count(str(bad)) == 1
 
 
 class TestMergeDiff:
+    @pytest.mark.parametrize("command", ["merge", "diff"])
+    def test_missing_artifact_exits_2(self, command, artifact, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cbp")
+        argv = (
+            ["merge", str(tmp_path / "merged.cbp"), artifact, missing]
+            if command == "merge"
+            else ["diff", artifact, missing]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"repro-profile: no such artifact: {missing}\n"
+
     def test_merge_two_shards(self, artifact, source_file, tmp_path, capsys):
         other = tmp_path / "run2.cbp"
         rc = cli_main(
