@@ -1,4 +1,4 @@
-"""Implicit blame edges: control dependence at instruction granularity.
+"""Implicit blame edges: control dependence between basic blocks.
 
 Paper §IV.A: "For implicit relationships, we use the control flow graph
 and generated dominator tree to infer implicit relationships for each
@@ -9,9 +9,17 @@ Concretely: every instruction depends on the terminators (``cbr``) of
 the blocks its block is control-dependent on — which is why, in the
 paper's Fig. 1 example, line 18 (``if a<b``) lands in the blame lines of
 ``a`` (line 19's write is control-dependent on it).
+
+:func:`control_deps` computes one function's control dependence once,
+per block, for both of its consumers: the backward slicer takes the
+transitive controllers (every level of a loop nest controls the
+innermost body), and the implicit *iterable* blame the immediate ones
+(only the innermost loop's domain/array takes the body's samples).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..ir import instructions as I
 from ..ir.cfg import CFG
@@ -19,46 +27,57 @@ from ..ir.dominators import control_dependence
 from ..ir.module import Function
 
 
-def instruction_control_deps(
-    function: Function, transitive: bool = True
-) -> dict[int, list[I.Instruction]]:
-    """Maps each instruction iid to the branch instructions controlling
-    its execution.  With ``transitive=True`` (default, used by the
-    backward slicer) the control-dependence closure of the block is
-    taken — every level of a loop nest controls the innermost body.
-    With ``transitive=False`` only the immediate controllers are
-    returned (used by the implicit *iterable* blame, where only the
-    innermost loop's domain/array takes the body's samples).
-    """
-    cfg = CFG(function)
-    block_deps = control_dependence(cfg)
+@dataclass(frozen=True)
+class ControlDeps:
+    """Control dependence of one function's blocks, indexed like
+    ``function.blocks``.  Instruction sets are int bitsets over dense
+    ids: an instruction's position in ``function.instructions()``."""
 
+    #: Per block: the bitset of its own instructions.
+    spans: list[int]
+    #: Per block: the branches controlling it directly.
+    immediate: list[list[I.CBr]]
+    #: Per block: the bitset of the branches controlling it at any depth.
+    transitive: list[int]
+
+
+def control_deps(function: Function) -> ControlDeps:
+    blocks = function.blocks
+    index = {b: k for k, b in enumerate(blocks)}
+    block_deps = control_dependence(CFG(function))
+    direct = [set(block_deps.get(b, ())) for b in blocks]
+    immediate = [
+        [d.terminator for d in deps if isinstance(d.terminator, I.CBr)]
+        for deps in direct
+    ]
     # Transitive closure over blocks (loop nests chain dependences).
     # Iterative fixpoint: correct in the presence of dependence cycles
     # (loops are control-dependent on themselves).
-    closure: dict[object, set[object]] = {
-        b: set(block_deps.get(b, ())) for b in function.blocks
-    }
-    if transitive:
-        changed = True
-        while changed:
-            changed = False
-            for b in function.blocks:
-                current = closure[b]
-                add: set[object] = set()
-                for dep in current:
-                    add |= closure.get(dep, set())
-                if not add <= current:
-                    current |= add
-                    changed = True
+    closure = [{index[d] for d in deps} for deps in direct]
+    changed = True
+    while changed:
+        changed = False
+        for current in closure:
+            add: set[int] = set()
+            for k in current:
+                add |= closure[k]
+            if not add <= current:
+                current |= add
+                changed = True
 
-    result: dict[int, list[I.Instruction]] = {}
-    for block in function.blocks:
-        controllers: list[I.Instruction] = []
-        for dep_block in closure[block]:
-            term = dep_block.terminator
-            if isinstance(term, I.CBr):
-                controllers.append(term)
-        for instr in block.instructions:
-            result[instr.iid] = controllers
-    return result
+    spans: list[int] = []
+    branches: list[int] = []  # per block: its terminator's bit, if a cbr
+    start = 0
+    for block in blocks:
+        n = len(block.instructions)
+        spans.append(((1 << n) - 1) << start)
+        start += n
+        cbr = n and isinstance(block.instructions[-1], I.CBr)
+        branches.append(1 << (start - 1) if cbr else 0)
+    transitive = []
+    for controllers in closure:
+        mask = 0
+        for k in controllers:
+            mask |= branches[k]
+        transitive.append(mask)
+    return ControlDeps(spans=spans, immediate=immediate, transitive=transitive)

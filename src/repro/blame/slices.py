@@ -10,18 +10,21 @@
   controlling its block *and their condition producers* (Table I's
   line 18 in ``a``'s and ``c``'s blame lines).
 
-The result is inverted into ``iid → {variables}`` so the dynamic side
-can answer ``isBlamed(v, s)`` with one set lookup per sample frame.
+Every instruction set here is a Python int used as a bitset over the
+function's dense instruction ids (:attr:`DataFlow.instructions`): union
+is ``|`` and a slice is a closure over set bits.  The dynamic side asks
+``isBlamed(v, s)`` through :meth:`BlameSets.blamed_at`, which inverts the
+masks for one instruction when it is first asked.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 from ..ir import instructions as I
-from ..ir.module import Function, Module
-from .control_deps import instruction_control_deps
+from ..ir.module import Function
+from .control_deps import ControlDeps, control_deps
 from .dataflow import DataFlow, Path, Root, VarKey
 
 
@@ -46,128 +49,216 @@ def paths_may_alias(a: Path, b: Path) -> bool:
     return True
 
 
+def _iter_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def _path_head(path: Path) -> tuple:
+    """Bucket key for a store's access path: only stores whose head is
+    compatible with a load's head can alias it (the first loop iteration
+    of :func:`paths_may_alias`), so bucketing by head cuts the
+    loads×stores product to compatible pairs.  Index heads match any
+    index, so they share one bucket."""
+    if not path:
+        return ()
+    head = path[0]
+    if head[0] == "index":
+        return ("index",)
+    return head
+
+
+#: A root variable's stores: path head → access path → bitset of stores.
+_Stores = dict[tuple, dict[Path, int]]
+
+
+def _memory_deps(root: Root, stores: dict[VarKey, _Stores]) -> int:
+    """The stores a load of ``root`` depends on: those to the same
+    variable whose paths may alias (flow-insensitive otherwise — the
+    paper's Table I gives c both writes to a)."""
+    key, path = root
+    buckets = stores.get(key)
+    if buckets is None:
+        return 0
+    deps = 0
+    if not path:
+        # An empty load path aliases every store except those reaching
+        # through a class dereference.
+        for head, by_path in buckets.items():
+            if head and head[0] == "cfield":
+                continue
+            for mask in by_path.values():
+                deps |= mask
+        return deps
+    # Same-head stores: tails still need the full check.
+    for spath, mask in buckets.get(_path_head(path), {}).items():
+        if paths_may_alias(path, spath):
+            deps |= mask
+    # Empty-path stores (whole-variable writes) alias any load not
+    # crossing a class dereference first.
+    if path[0][0] != "cfield":
+        for mask in buckets.get((), {}).values():
+            deps |= mask
+    return deps
+
+
 class SliceGraph:
-    """Backward dependency edges (iid → dep iids) for one function."""
+    """Backward dependence edges of one function, over dense ids.
 
-    def __init__(self, function: Function, dataflow: DataFlow) -> None:
-        self.function = function
+    ``deps[i]`` is the bitset of instructions that instruction ``i``
+    depends on through operands and memory.  Control edges are one
+    mask per block: ``controls`` pairs each controlled block's span of
+    ids with the bitset of the branches controlling it.  Every
+    register operand must be produced in this function, as the IR
+    verifier checks.
+    """
+
+    def __init__(self, dataflow: DataFlow, control: ControlDeps | None) -> None:
         self.df = dataflow
-        self.deps: dict[int, set[int]] = {}
-        self._slice_cache: dict[frozenset[int], frozenset[int]] = {}
+        instrs = dataflow.instructions
+        #: iid → dense id
+        self.pos: dict[int, int] = {instr.iid: i for i, instr in enumerate(instrs)}
+        self.deps: list[int] = []
+        self.controls: list[tuple[int, int]] = []
+        self._slices: dict[int, int] = {}
         self._build()
-
-    @property
-    def options(self):
-        return self.df.options
-
-    @staticmethod
-    def _path_head(path: Path):
-        """Bucket key for a store's access path: only stores whose head
-        is compatible with a load's head can alias it (the first loop
-        iteration of :func:`paths_may_alias`), so bucketing by head cuts
-        the loads×stores product to compatible pairs.  Index heads match
-        any index, so they share one bucket."""
-        if not path:
-            return ()
-        head = path[0]
-        if head[0] == "index":
-            return ("index",)
-        return head
-
-    def _build(self) -> None:
-        fn = self.function
-        df = self.df
-        # Stores to each root variable (for load→store memory edges),
-        # bucketed by access-path head for field-sensitive aliasing.
-        stores_by_var: dict[VarKey, dict[tuple, list[tuple[Path, int]]]] = {}
-        path_head = self._path_head
-        for instr in fn.instructions():
-            if isinstance(instr, I.Store):
-                for key, path in df.roots_of(instr.addr):
-                    buckets = stores_by_var.setdefault(key, {})
-                    buckets.setdefault(path_head(path), []).append(
-                        (path, instr.iid)
-                    )
-
-        control = instruction_control_deps(fn)
-
-        for instr in fn.instructions():
-            deps = self.deps.setdefault(instr.iid, set())
-            # Operand (explicit data) edges.
-            for op in instr.operands():
-                if isinstance(op, I.Register) and op.producer is not None:
-                    deps.add(op.producer.iid)
-            # Memory edges: loads depend on the stores to the same root
-            # whose paths may alias (flow-insensitive otherwise — the
-            # paper's Table I gives c both writes to a).
-            if isinstance(instr, I.Load):
-                for key, path in df.roots_of(instr.addr):
-                    buckets = stores_by_var.get(key)
-                    if buckets is None:
-                        continue
-                    if not path:
-                        # An empty load path aliases every store except
-                        # those reaching through a class dereference.
-                        for hkey, entries in buckets.items():
-                            if hkey and hkey[0] == "cfield":
-                                continue
-                            deps.update(siid for _spath, siid in entries)
-                        continue
-                    # Same-head stores: tails still need the full check.
-                    for spath, siid in buckets.get(path_head(path), ()):
-                        if paths_may_alias(path, spath):
-                            deps.add(siid)
-                    # Empty-path stores (whole-variable writes) alias any
-                    # load not crossing a class dereference first.
-                    if path[0][0] != "cfield":
-                        deps.update(
-                            siid for _spath, siid in buckets.get((), ())
-                        )
+        if control is not None:
             # Implicit (control) edges: the controlling branches and,
             # through their operand edges, the condition producers.
-            if df.options.implicit_control:
-                for cbr in control.get(instr.iid, ()):
-                    if cbr.iid != instr.iid:
-                        deps.add(cbr.iid)
+            self.controls = [
+                (span, mask)
+                for span, mask in zip(control.spans, control.transitive)
+                if span and mask
+            ]
 
-    def backward_slice(self, seeds: set[int]) -> frozenset[int]:
-        """Multi-source backward closure from ``seeds``.
+    def _build(self) -> None:
+        df = self.df
+        instrs = df.instructions
+        pos = self.pos
+        roots_of = df.roots_of
+        stores: dict[VarKey, _Stores] = {}
+        for i, instr in enumerate(instrs):
+            if type(instr) is I.Store:
+                bit = 1 << i
+                for key, path in roots_of(instr.ops[1]):
+                    by_path = stores.setdefault(key, {}).setdefault(
+                        _path_head(path), {}
+                    )
+                    by_path[path] = by_path.get(path, 0) | bit
 
-        Memoized on the seed set: distinct variables frequently share
+        memory: dict[Root, int] = {}
+        deps = self.deps
+        Register, Load = I.Register, I.Load
+        for instr in instrs:
+            mask = 0
+            # Operand (explicit data) edges.
+            for op in getattr(instr, "ops", ()):
+                if type(op) is Register and op.producer is not None:
+                    mask |= 1 << pos[op.producer.iid]
+            # Memory edges, shared by every load of the same root.
+            if type(instr) is Load:
+                for root in roots_of(instr.ops[0]):
+                    mem = memory.get(root)
+                    if mem is None:
+                        mem = memory[root] = _memory_deps(root, stores)
+                    mask |= mem
+            deps.append(mask)
+
+    def backward_slice(self, seeds: int) -> int:
+        """Multi-source backward closure from the bitset ``seeds``.
+
+        Memoized on the seeds: distinct variables frequently share
         write sets (zippered iterands, ref formals of one callsite), and
         the closure is the hot inner step of blame-set construction.
         """
-        key = frozenset(seeds)
-        cached = self._slice_cache.get(key)
+        cached = self._slices.get(seeds)
         if cached is not None:
             return cached
-        seen: set[int] = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            iid = queue.popleft()
-            for dep in self.deps.get(iid, ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    queue.append(dep)
-        result = frozenset(seen)
-        self._slice_cache[key] = result
-        return result
+        deps = self.deps
+        pending = self.controls  # blocks whose controllers have not joined
+        seen = frontier = seeds
+        while frontier:
+            reached = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                reached |= deps[low.bit_length() - 1]
+                rest ^= low
+            if pending:
+                still = []
+                for span, mask in pending:
+                    if frontier & span:
+                        reached |= mask
+                    else:
+                        still.append((span, mask))
+                pending = still
+            frontier = reached & ~seen
+            seen |= frontier
+        self._slices[seeds] = seen
+        return seen
 
 
-@dataclass
 class BlameSets:
     """Per-function blame sets, both directions.
 
-    ``by_var[(key, path)]`` is the BlameSet (iids) of a variable or a
-    hierarchical sub-variable; ``by_iid[iid]`` is the set of roots
-    blamed when a sample lands on that instruction.
+    ``masks[(key, path)]`` is the BlameSet of a variable or a
+    hierarchical sub-variable, as a bitset over the function's dense
+    instruction ids.  :meth:`blamed_at` answers the inverse, the roots
+    blamed when a sample lands on an instruction, from one mask per
+    distinct blame set.  ``by_var`` and ``by_iid`` hold the same facts
+    as iid frozensets and are built on first access.
     """
 
-    by_var: dict[Root, frozenset[int]]
-    by_iid: dict[int, frozenset[Root]]
+    def __init__(
+        self,
+        masks: dict[Root, int],
+        instructions: list[I.Instruction],
+        pos: dict[int, int],
+    ) -> None:
+        self.masks = masks
+        #: dense id → instruction, and iid → dense id
+        self._instructions = instructions
+        self._pos = pos
+        # Variables routinely share one blame set (memoized slices,
+        # zippered iterands): the inverse tests each distinct set once.
+        groups: dict[int, list[Root]] = {}
+        for root, mask in masks.items():
+            groups.setdefault(mask, []).append(root)
+        self._groups = list(groups.items())
+        self._blamed: dict[int, frozenset[Root]] = {}
 
     def blamed_at(self, iid: int) -> frozenset[Root]:
-        return self.by_iid.get(iid, frozenset())
+        blamed = self._blamed.get(iid)
+        if blamed is None:
+            roots: set[Root] = set()
+            i = self._pos.get(iid)
+            if i is not None:
+                bit = 1 << i
+                for mask, group in self._groups:
+                    if mask & bit:
+                        roots.update(group)
+            blamed = self._blamed[iid] = frozenset(roots)
+        return blamed
+
+    @cached_property
+    def by_var(self) -> dict[Root, frozenset[int]]:
+        instrs = self._instructions
+        return {
+            root: frozenset(instrs[i].iid for i in _iter_bits(mask))
+            for root, mask in self.masks.items()
+        }
+
+    @cached_property
+    def by_iid(self) -> dict[int, frozenset[Root]]:
+        blamed = 0
+        for mask, _group in self._groups:
+            blamed |= mask
+        iids = [self._instructions[i].iid for i in _iter_bits(blamed)]
+        return {iid: self.blamed_at(iid) for iid in iids}
 
 
 def _cbr_iterable_roots(
@@ -195,24 +286,22 @@ def _cbr_iterable_roots(
 
 
 def _implicit_iterable_blame(
-    function: Function, dataflow: DataFlow
-) -> dict[Root, frozenset[int]]:
+    dataflow: DataFlow, control: ControlDeps
+) -> dict[Root, int]:
     """Maps iterand roots to the body instructions they implicitly blame
-    (innermost enclosing loop only)."""
-    imm = instruction_control_deps(function, transitive=False)
+    (innermost enclosing loop only), a block at a time."""
     cbr_roots: dict[int, frozenset[Root]] = {}
-    out: dict[Root, set[int]] = {}
-    for instr in function.instructions():
-        for cbr in imm.get(instr.iid, ()):
-            if not isinstance(cbr, I.CBr):
-                continue
+    out: dict[Root, int] = {}
+    for span, controllers in zip(control.spans, control.immediate):
+        if not span:
+            continue
+        for cbr in controllers:
             roots = cbr_roots.get(cbr.iid)
             if roots is None:
-                roots = _cbr_iterable_roots(cbr, dataflow)
-                cbr_roots[cbr.iid] = roots
+                roots = cbr_roots[cbr.iid] = _cbr_iterable_roots(cbr, dataflow)
             for root in roots:
-                out.setdefault(root, set()).add(instr.iid)
-    return {root: frozenset(iids) for root, iids in out.items()}
+                out[root] = out.get(root, 0) | span
+    return out
 
 
 def compute_blame_sets(function: Function, dataflow: DataFlow) -> BlameSets:
@@ -226,49 +315,41 @@ def compute_blame_sets(function: Function, dataflow: DataFlow) -> BlameSets:
     that produced it (it is attributed through the callee's own blame
     sets plus the transfer function instead).
     """
-    graph = SliceGraph(function, dataflow)
-    by_var: dict[Root, frozenset[int]] = {}
-    deep = dataflow.deep_write_iids
+    options = dataflow.options
+    control = None
+    if options.implicit_control or options.implicit_iterable:
+        control = control_deps(function)
+    graph = SliceGraph(dataflow, control if options.implicit_control else None)
+    pos = graph.pos
+    deep = 0
+    for iid in dataflow.deep_write_iids:
+        deep |= 1 << pos[iid]
 
-    def blame_set(writes) -> frozenset[int]:
-        deep_seeds = {w.iid for w in writes if w.iid in deep}
-        shallow = {w.iid for w in writes if w.iid not in deep}
+    def blame_set(writes) -> int:
+        seeds = 0
+        for w in writes:
+            seeds |= 1 << pos[w.iid]
+        shallow = seeds & ~deep
         if not shallow:
-            # The memoized slice is returned as-is (no union copy);
-            # callers treat blame sets as immutable.
-            return graph.backward_slice(deep_seeds)
-        if not deep_seeds:
-            return frozenset(shallow)
-        return graph.backward_slice(deep_seeds) | shallow
+            return graph.backward_slice(seeds)
+        seeds ^= shallow
+        if not seeds:
+            return shallow
+        return graph.backward_slice(seeds) | shallow
 
+    masks: dict[Root, int] = {}
     for key, writes in dataflow.writes.items():
-        by_var[(key, ())] = blame_set(writes)
+        masks[(key, ())] = blame_set(writes)
     for root, writes in dataflow.path_writes.items():
-        by_var[root] = blame_set(writes)
+        masks[root] = blame_set(writes)
 
     # Implicit iterable blame (paper §IV.A): "all variables within the
     # loop body inherit blame from the index variable" — generalized to
     # the domain/array *driving* the loop: instructions in a loop body
     # join the BlameSet of the innermost loop's iterands (how MiniMD's
     # binSpace earns 49 % without a single source-level write).
-    if dataflow.options.implicit_iterable:
-        iterable_extra = _implicit_iterable_blame(function, dataflow)
-        for root, iids in iterable_extra.items():
-            by_var[root] = by_var.get(root, frozenset()) | iids
+    if options.implicit_iterable:
+        for root, mask in _implicit_iterable_blame(dataflow, control).items():
+            masks[root] = masks.get(root, 0) | mask
 
-    # Invert, walking each distinct blame set once: variables routinely
-    # share one set object (memoized slices, zippered iterands), so
-    # grouping by the set first avoids re-walking large slices per root.
-    groups: dict[frozenset[int], list[Root]] = {}
-    for root, iids in by_var.items():
-        groups.setdefault(iids, []).append(root)
-
-    by_iid: dict[int, set[Root]] = {}
-    for iids, roots in groups.items():
-        for iid in iids:
-            by_iid.setdefault(iid, set()).update(roots)
-
-    return BlameSets(
-        by_var=by_var,
-        by_iid={iid: frozenset(roots) for iid, roots in by_iid.items()},
-    )
+    return BlameSets(masks, dataflow.instructions, pos)

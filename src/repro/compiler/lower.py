@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from ..chapel import ast_nodes as A
+from ..chapel.arith import int_div, int_mod
 from ..chapel.errors import NameError_, TypeError_
 from ..chapel.symbols import Scope, Symbol
 from ..chapel.tokens import SourceLocation
@@ -518,12 +519,16 @@ class FunctionLowerer:
             lv, lt = self.const_eval(e.lhs)
             rv, rt = self.const_eval(e.rhs)
             ty = unify_numeric(lt, rt) or lt
+            if e.op in ("/", "%") and rv == 0:
+                what = "division" if e.op == "/" else "modulo"
+                raise TypeError_(f"{what} by zero in param expression", e.loc)
+            real = isinstance(ty, RealType)
             ops = {
                 "+": lambda a, b: a + b,
                 "-": lambda a, b: a - b,
                 "*": lambda a, b: a * b,
-                "/": lambda a, b: a / b if isinstance(ty, RealType) else a // b,
-                "%": lambda a, b: a % b,
+                "/": lambda a, b: a / b if real else int_div(a, b),
+                "%": lambda a, b: a % b if real else int_mod(a, b),
                 "**": lambda a, b: a**b,
             }
             if e.op in ops:

@@ -8,6 +8,7 @@ nearly impossible" observation.
 
 from __future__ import annotations
 
+from ...chapel.arith import int_div, int_mod
 from ...chapel.types import BoolType, IntType, RealType
 from ...ir import instructions as I
 from ...ir.module import Module
@@ -22,17 +23,16 @@ def _fold_binop(op: str, a, b):
         if op == "*":
             return a * b
         if op == "/":
-            if isinstance(a, int) and isinstance(b, int):
-                if b == 0:
-                    return None
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
             if b == 0:
                 return None
+            if isinstance(a, int) and isinstance(b, int):
+                return int_div(a, b)
             return a / b
         if op == "%":
             if b == 0:
                 return None
+            if isinstance(a, int) and isinstance(b, int):
+                return int_mod(a, b)
             return a % b
         if op == "**":
             return a**b

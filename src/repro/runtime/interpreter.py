@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..chapel.arith import int_div, int_mod
 from ..chapel.types import RecordType
 from ..ir import instructions as I
 from ..ir.module import Function, Module
@@ -86,20 +87,6 @@ class RunResult:
         return self.busy_cycles / total if total else 1.0
 
 
-def _idiv(a: int, b: int) -> int:
-    """C/Chapel-style integer division (truncate toward zero)."""
-    if b == 0:
-        raise RuntimeError_("integer division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _imod(a: int, b: int) -> int:
-    if b == 0:
-        raise RuntimeError_("integer modulo by zero")
-    return a - _idiv(a, b) * b
-
-
 def _binop_scalar(op: str, a, b):
     if op == "+":
         return a + b
@@ -109,13 +96,19 @@ def _binop_scalar(op: str, a, b):
         return a * b
     if op == "/":
         if isinstance(a, int) and isinstance(b, int):
-            return _idiv(a, b)
+            if b == 0:
+                raise RuntimeError_("integer division by zero")
+            return int_div(a, b)
         if b == 0:
             raise RuntimeError_("division by zero")
         return a / b
     if op == "%":
         if isinstance(a, int) and isinstance(b, int):
-            return _imod(a, b)
+            if b == 0:
+                raise RuntimeError_("integer modulo by zero")
+            return int_mod(a, b)
+        if b == 0:
+            raise RuntimeError_("modulo by zero")
         return a % b
     if op == "**":
         return a**b

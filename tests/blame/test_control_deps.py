@@ -1,8 +1,8 @@
-"""Instruction-level control-dependence tests (implicit blame edges)."""
+"""Control-dependence tests (implicit blame edges), by source line."""
 
 import pytest
 
-from repro.blame.control_deps import instruction_control_deps
+from repro.blame.control_deps import control_deps
 from repro.ir import instructions as I
 
 import sys, os
@@ -11,15 +11,22 @@ from conftest import compile_src
 
 
 def deps_by_line(src, fn="main", transitive=True):
+    """Source line → lines of the branches controlling it."""
     m = compile_src(src)
     f = m.functions[fn]
-    deps = instruction_control_deps(f, transitive=transitive)
-    line_of = {i.iid: i.loc.line for i in f.instructions()}
+    deps = control_deps(f)
+    instrs = list(f.instructions())
     out = {}
-    for iid, controllers in deps.items():
-        out.setdefault(line_of[iid], set()).update(
-            line_of[c.iid] for c in controllers
-        )
+    for k, block in enumerate(f.blocks):
+        if transitive:
+            controllers = [i for n, i in enumerate(instrs) if deps.transitive[k] >> n & 1]
+            assert all(isinstance(c, I.CBr) for c in controllers)
+        else:
+            controllers = deps.immediate[k]
+        for instr in block.instructions:
+            out.setdefault(instr.loc.line, set()).update(
+                c.loc.line for c in controllers
+            )
     return out
 
 

@@ -5,12 +5,15 @@ Phase 1 builds every function's ``DataFlow`` once per alias round.  When
 a round converges, its flows were built from the final alias facts, so
 phase 2 keeps them instead of building them again; when phase 1 stops
 unconverged at its 3-round cap, phase 2 rebuilds them.  ``DataFlow``
-itself visits only the instruction types its two passes handle.
+itself makes one pass over the instruction types it propagates roots
+through, repeated only while a root set or alias bucket grew after the
+pass had read it, then one pass over the types it records writes for.
 
-The reference here is the analysis as it ran before: phase 1
-(``reference_aliases``), then per function a fresh
-``ReferenceDataFlow``, which visits every instruction, and fresh blame
-sets, exit variables and transfer function from the final facts.
+The reference here is the set-based analysis (``reference_analysis``)
+as it ran before: phase 1 (``reference_aliases``), then per function a
+fresh ``ReferenceDataFlow``, which visits every instruction in whole
+passes to the fixpoint, and fresh blame sets, exit variables and
+transfer function from the final facts.
 """
 
 import pytest
@@ -20,9 +23,10 @@ from repro.blame import static_info
 from repro.blame.dataflow import DataFlow
 from repro.blame.exit_vars import compute_exit_vars
 from repro.blame.options import ABLATIONS, FULL
-from repro.blame.slices import compute_blame_sets
 from repro.blame.transfer import TransferFunction
 from repro.compiler.lower import compile_source
+
+from . import reference_analysis
 
 #: Four class-typed globals aliased hop by hop from four functions: each
 #: alias round propagates one hop, so three rounds do not converge.
@@ -50,7 +54,7 @@ SOURCES = {
 _MODULES: dict = {}
 
 
-class ReferenceDataFlow(DataFlow):
+class ReferenceDataFlow(reference_analysis.DataFlow):
     """Both passes over every instruction, whatever its type."""
 
     def _analyze(self):
@@ -153,7 +157,7 @@ def test_reused_flows_equal_a_fresh_phase_2(monkeypatch, name, options):
             fn, module, global_aliases=aliases, options=options
         )
         assert flow_state(got.dataflow) == flow_state(df)
-        fresh_sets = compute_blame_sets(fn, df)
+        fresh_sets = reference_analysis.compute_blame_sets(fn, df)
         assert got.blame_sets.by_var == fresh_sets.by_var
         assert got.blame_sets.by_iid == fresh_sets.by_iid
         assert got.exit_vars == compute_exit_vars(fn, df)

@@ -279,7 +279,7 @@ def run_state(module, engine, *, threshold=7, skid=0, sink=None, num_threads=2):
     try:
         interp.run()
         error = None
-    except (ExecutionError, ZeroDivisionError, StopSampling) as exc:
+    except (ExecutionError, StopSampling) as exc:
         error = (type(exc).__name__, str(exc))
     threads = [
         (t.clock, t.busy_cycles, t.pmu_counter, t.idle_cycles,
