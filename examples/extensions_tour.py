@@ -16,7 +16,7 @@ from dataclasses import replace
 from repro.blame.options import FULL
 from repro.compiler.lower import compile_source
 from repro.run_config import RunConfig
-from repro.sampling.dataset import DatasetHeader, save_samples, source_digest
+from repro.sampling.dataset import DatasetHeader, DatasetJournal, source_digest
 from repro.tooling.analyze import analyze_dataset
 from repro.tooling.profiler import Profiler
 from repro.views import render_data_centric
@@ -84,7 +84,8 @@ def main() -> None:
             threshold=809,
             num_threads=8,
         )
-        save_samples(path, header, samples)
+        with DatasetJournal(path, header) as journal:
+            journal.extend(samples)
         print(f"  saved {res.monitor.n_samples} samples "
               f"({os.path.getsize(path)} bytes)")
         _module, _pm, report = analyze_dataset(path, SOURCE, "hist.chpl")

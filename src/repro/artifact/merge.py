@@ -56,12 +56,11 @@ def merge_snapshots(
 ) -> ProfileSnapshot:
     """Merges per-locale/per-run snapshots into one program-wide snapshot.
 
-    ``missing_locales`` (locales that crashed or timed out and produced
-    no artifact) is carried onto the merged report exactly as the
-    in-memory aggregation always carried it — deduplicated and sorted
-    (a locale can both crash and be reported missing by a sibling), and
-    unioned with coverage gaps the input snapshots already carry (an
-    input that is itself a merge).  A single snapshot with no missing
+    ``missing_locales`` (locales that produced no artifact, as
+    ``repro merge --missing-locales`` names them) is carried onto the
+    merged report exactly as the in-memory aggregation always carried
+    it — deduplicated and sorted, and unioned with coverage gaps the
+    input snapshots already carry (an input that is itself a merge).  A single snapshot with no missing
     locales merges to itself — the single-locale base case stays the
     identity it has always been.
 

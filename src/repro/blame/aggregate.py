@@ -7,10 +7,9 @@ pipeline is plural-ready: per-locale :class:`BlameReport`s combine by
 summing per-(context, variable) sample counts against the summed
 denominator.
 
-The merge tolerates partial fleets: when locales crashed or timed out,
-their ids arrive via ``missing_locales`` and are carried on the merged
-report (the views annotate them), instead of failing the whole
-aggregation.  Degradation side-channels (unknown buckets, quarantine
+The merge tolerates partial fleets: locales that produced no report
+arrive via ``missing_locales`` and are carried on the merged report
+(the views annotate them), instead of failing the whole aggregation.  Degradation side-channels (unknown buckets, quarantine
 counts) sum across locales like any other counter.
 """
 

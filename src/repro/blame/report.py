@@ -89,7 +89,7 @@ class BlameReport:
     unknown_by_reason: dict[str, int] = field(default_factory=dict)
     #: Ingest/postmortem rejections by reason.
     quarantine_by_reason: dict[str, int] = field(default_factory=dict)
-    #: Locales absent from a merged report (crashed / timed out).
+    #: Locales absent from a merged report (they produced no shard).
     missing_locales: tuple[int, ...] = ()
 
     def top(self, n: int = 10) -> list[BlameRow]:

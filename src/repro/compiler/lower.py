@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from ..chapel import ast_nodes as A
-from ..chapel.arith import int_div, int_mod
+from ..chapel.arith import int_div, int_mod, real_mod
 from ..chapel.errors import NameError_, TypeError_
 from ..chapel.symbols import Scope, Symbol
 from ..chapel.tokens import SourceLocation
@@ -528,7 +528,7 @@ class FunctionLowerer:
                 "-": lambda a, b: a - b,
                 "*": lambda a, b: a * b,
                 "/": lambda a, b: a / b if real else int_div(a, b),
-                "%": lambda a, b: a % b if real else int_mod(a, b),
+                "%": lambda a, b: real_mod(a, b) if real else int_mod(a, b),
                 "**": lambda a, b: a**b,
             }
             if e.op in ops:

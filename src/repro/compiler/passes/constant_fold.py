@@ -8,7 +8,7 @@ nearly impossible" observation.
 
 from __future__ import annotations
 
-from ...chapel.arith import int_div, int_mod
+from ...chapel.arith import int_div, int_mod, real_mod
 from ...chapel.types import BoolType, IntType, RealType
 from ...ir import instructions as I
 from ...ir.module import Module
@@ -33,7 +33,7 @@ def _fold_binop(op: str, a, b):
                 return None
             if isinstance(a, int) and isinstance(b, int):
                 return int_mod(a, b)
-            return a % b
+            return real_mod(a, b)
         if op == "**":
             return a**b
         if op == "==":

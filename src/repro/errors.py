@@ -1,8 +1,12 @@
 """Typed exception hierarchy for the whole pipeline.
 
 Every error the tool raises on purpose derives from :class:`ReproError`
-so callers (the multi-locale harness, the CLIs, CI gates) can separate
-"the measurement stack degraded" from genuine programming errors.
+so callers (the CLIs, CI gates) can separate "the measurement stack
+degraded" from genuine programming errors.  The profiled program's own
+faults are not among them: the frontend raises
+:class:`~repro.chapel.errors.ChapelError` and the runtime
+:class:`~repro.runtime.interpreter.ExecutionError`, each located at a
+``FILE:LINE:COL``.
 
 Several classes also subclass :class:`ValueError` because earlier
 versions raised bare ``ValueError`` at the same sites — existing
@@ -23,7 +27,7 @@ class AnalysisError(ReproError, ValueError):
 
 class AggregationError(ReproError, ValueError):
     """Cross-locale aggregation failed (no mergeable reports, bad
-    locale count, all locales lost)."""
+    locale count)."""
 
 
 class SampleFormatError(ReproError, ValueError):
@@ -52,18 +56,3 @@ class ArtifactVersionError(ArtifactError):
     (the header is intact — the file comes from a different tool
     generation, not from corruption)."""
 
-
-class LocaleError(ReproError):
-    """Base for per-locale failures in the multi-locale harness."""
-
-    def __init__(self, locale_id: int, message: str) -> None:
-        super().__init__(message)
-        self.locale_id = locale_id
-
-
-class LocaleCrashError(LocaleError):
-    """A locale's run crashed (injected or real)."""
-
-
-class LocaleTimeoutError(LocaleError):
-    """A locale exceeded the per-locale wall-clock budget."""

@@ -1,17 +1,15 @@
 """Fault injection and degradation-tolerance tooling.
 
 Real Dyninst/PAPI deployments are lossy: stack walks truncate, samples
-drop, spawn tags vanish, debug info gets stripped, and locales crash or
-straggle.  This package makes those failure modes reproducible —
-:mod:`faults` describes *what* to break (deterministic, seedable),
-:mod:`inject` breaks it, :mod:`retrying` is the bounded-retry/backoff
-schedule the multi-locale harness uses, and :mod:`stability`
-quantifies how stable the blame rankings stay under each fault class.
+drop, spawn tags vanish, and debug info gets stripped.  This package
+makes those failure modes reproducible — :mod:`faults` describes *what*
+to break (deterministic, seedable), :mod:`inject` breaks it, and
+:mod:`stability` quantifies how stable the blame rankings stay under
+each fault class.
 """
 
 from .faults import FAULT_CLASSES, FaultPlan
 from .inject import FaultInjector, InjectionStats
-from .retrying import RetryPolicy, backoff_attempts
 from .stability import compare_reports, kendall_tau, ranking, top_n_overlap
 
 __all__ = [
@@ -19,8 +17,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InjectionStats",
-    "RetryPolicy",
-    "backoff_attempts",
     "compare_reports",
     "kendall_tau",
     "ranking",

@@ -17,29 +17,32 @@ Fault classes (mirroring how real telemetry degrades):
               pre/post-spawn gluing is gone.
 ``strip``     debug-info stripping — a fraction of functions resolve to
               raw addresses only.
-``crash``     locale crash — a locale's run dies (multi-locale only).
-``straggle``  locale straggler — a locale finishes late (multi-locale).
 
 CLI spec grammar (``--inject-faults``)::
 
     drop=0.1,truncate=0.1:3,tagloss=0.05,corrupt=0.02,strip=0.1,seed=42
-    crash=1;3,straggle=2,straggle-delay=0.05,crash-rate=0.2
 
 Rates are fractions in [0, 1]; ``truncate`` takes an optional ``:k``
-depth (default 2); ``crash``/``straggle`` take ``;``-separated locale
-ids.
+depth (default 2).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 from ..errors import SampleFormatError
 
-#: The per-sample fault classes a plan can sweep (locale faults are
-#: orchestrated by the multi-locale harness, not per sample).
-FAULT_CLASSES = ("drop", "corrupt", "truncate", "tagloss", "strip")
+#: Each fault class (also its spec key) → the plan field holding its rate.
+_RATE_FIELDS = {
+    "drop": "drop_rate",
+    "corrupt": "corrupt_rate",
+    "truncate": "truncate_rate",
+    "tagloss": "tag_loss_rate",
+    "strip": "strip_rate",
+}
+
+#: The fault classes a plan can sweep.
+FAULT_CLASSES = tuple(_RATE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,9 @@ class FaultPlan:
     tag_loss_rate: float = 0.0
     #: Fraction of user functions whose debug info is stripped.
     strip_rate: float = 0.0
-    #: Locales that always crash (every attempt).
-    crash_locales: tuple[int, ...] = ()
-    #: Per-attempt crash probability for every locale (retries can
-    #: succeed, unlike ``crash_locales``).
-    crash_rate: float = 0.0
-    #: Locales that straggle (finish after ``straggler_delay`` host s).
-    straggler_locales: tuple[int, ...] = ()
-    straggler_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("drop_rate", "corrupt_rate", "truncate_rate",
-                     "tag_loss_rate", "strip_rate", "crash_rate"):
+        for name in _RATE_FIELDS.values():
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SampleFormatError(f"{name} must be in [0, 1], got {v}")
@@ -75,25 +69,13 @@ class FaultPlan:
 
     @property
     def is_clean(self) -> bool:
-        """True when the plan injects nothing at the sample level."""
-        return (
-            self.drop_rate == 0.0
-            and self.corrupt_rate == 0.0
-            and self.truncate_rate == 0.0
-            and self.tag_loss_rate == 0.0
-            and self.strip_rate == 0.0
-        )
+        """True when the plan injects nothing."""
+        return all(getattr(self, name) == 0.0 for name in _RATE_FIELDS.values())
 
     def with_rate(self, fault: str, rate: float) -> "FaultPlan":
         """Returns a copy with one fault class set to ``rate`` (used by
         the stability sweep to isolate classes)."""
-        field = {
-            "drop": "drop_rate",
-            "corrupt": "corrupt_rate",
-            "truncate": "truncate_rate",
-            "tagloss": "tag_loss_rate",
-            "strip": "strip_rate",
-        }.get(fault)
+        field = _RATE_FIELDS.get(fault)
         if field is None:
             raise SampleFormatError(f"unknown fault class {fault!r}")
         return replace(self, **{field: rate})
@@ -102,21 +84,6 @@ class FaultPlan:
         """Derives a per-locale plan: same rates, decorrelated seed, so
         every locale degrades independently but reproducibly."""
         return replace(self, seed=self.seed * 1000003 + locale_id * 7919)
-
-    # -- locale-level decisions (used by the multi-locale harness) ----------
-
-    def should_crash(self, locale_id: int, attempt: int) -> bool:
-        if locale_id in self.crash_locales:
-            return True
-        if self.crash_rate <= 0.0:
-            return False
-        rng = random.Random(f"{self.seed}:crash:{locale_id}:{attempt}")
-        return rng.random() < self.crash_rate
-
-    def straggle_seconds(self, locale_id: int) -> float:
-        if locale_id in self.straggler_locales:
-            return self.straggler_delay
-        return 0.0
 
     # -- CLI spec -----------------------------------------------------------
 
@@ -138,36 +105,17 @@ class FaultPlan:
             try:
                 if name == "seed":
                     kwargs["seed"] = int(raw)
-                elif name == "drop":
-                    kwargs["drop_rate"] = float(raw)
-                elif name == "corrupt":
-                    kwargs["corrupt_rate"] = float(raw)
                 elif name == "truncate":
                     rate, _, depth = raw.partition(":")
                     kwargs["truncate_rate"] = float(rate)
                     if depth:
                         kwargs["truncate_depth"] = int(depth)
-                elif name == "tagloss":
-                    kwargs["tag_loss_rate"] = float(raw)
-                elif name == "strip":
-                    kwargs["strip_rate"] = float(raw)
-                elif name == "crash":
-                    kwargs["crash_locales"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "crash-rate":
-                    kwargs["crash_rate"] = float(raw)
-                elif name == "straggle":
-                    kwargs["straggler_locales"] = tuple(
-                        int(x) for x in raw.split(";") if x
-                    )
-                elif name == "straggle-delay":
-                    kwargs["straggler_delay"] = float(raw)
+                elif name in _RATE_FIELDS:
+                    kwargs[_RATE_FIELDS[name]] = float(raw)
                 else:
                     raise SampleFormatError(
                         f"unknown fault spec key {name!r} "
-                        f"(want {'|'.join(FAULT_CLASSES)}|crash|crash-rate|"
-                        f"straggle|straggle-delay|seed)"
+                        f"(want {'|'.join(FAULT_CLASSES)}|seed)"
                     )
             except ValueError as exc:
                 if isinstance(exc, SampleFormatError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chapel.arith import int_div, int_mod
+from ..chapel.arith import int_div, int_mod, real_mod
 from ..chapel.types import RecordType
 from ..ir import instructions as I
 from ..ir.module import Function, Module
@@ -109,7 +109,7 @@ def _binop_scalar(op: str, a, b):
             return int_mod(a, b)
         if b == 0:
             raise RuntimeError_("modulo by zero")
-        return a % b
+        return real_mod(a, b)
     if op == "**":
         return a**b
     if op == "==":

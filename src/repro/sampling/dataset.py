@@ -9,17 +9,17 @@ and sampling configuration, so a separate process can re-do the
 analysis: recompile the source with fresh deterministic instruction
 ids, check the hash, and attribute.
 
-Two formats:
+Two formats, both read by :func:`read_dataset`/:func:`load_samples`:
 
-* **v1** (``save_samples``/``load_samples``): plain JSONL — line 1 is a
-  header object; each further line is one sample.  Whole-file writes,
-  no integrity protection.
-* **v2 journal** (:class:`DatasetJournal`): append-only, every line
-  (header included) carries a CRC-32 of its payload.  A run interrupted
-  mid-stream loses at most the unflushed tail: :func:`scan_journal`
-  detects the corrupt tail, :func:`load_journal` returns the good
-  prefix, and :meth:`DatasetJournal.resume` truncates to the last good
-  record and continues appending.
+* **v2 journal** (:class:`DatasetJournal`), the one ``--save-samples``
+  writes: append-only, every line (header included) carries a CRC-32 of
+  its payload.  A run interrupted mid-stream loses at most the
+  unflushed tail: :func:`scan_journal` detects the corrupt tail,
+  :func:`load_journal` returns the good prefix, and
+  :meth:`DatasetJournal.resume` truncates to the last good record and
+  continues appending.
+* **v1**, written by earlier versions: plain JSONL — line 1 is a header
+  object; each further line is one sample, with no integrity protection.
 """
 
 from __future__ import annotations
@@ -111,16 +111,6 @@ def _sample_from_json(d: dict) -> RawSample:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SampleFormatError(f"malformed sample record: {exc!r}") from exc
-
-
-def save_samples(
-    path: str, header: DatasetHeader, samples: list[RawSample]
-) -> None:
-    """Writes a run's raw samples as JSONL (header line + one per sample)."""
-    with open(path, "w") as f:
-        f.write(json.dumps(header.to_json()) + "\n")
-        for s in samples:
-            f.write(json.dumps(_sample_to_json(s)) + "\n")
 
 
 def load_samples(path: str) -> tuple[DatasetHeader, list[RawSample]]:

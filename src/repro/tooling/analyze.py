@@ -14,10 +14,10 @@ The dataset header carries the source's SHA-256; analysis recompiles
 the source with fresh deterministic instruction ids and refuses to
 proceed on a hash mismatch (the ids would be meaningless).
 
-A journal (``--save-samples PATH --journal``) is written while the
-program runs, so a killed run leaves one with a torn tail: it is
-analyzed up to its verified prefix, and a status line reports how many
-records the tail lost.  Exit status: 0 on success; 1 for a damaged
+``--save-samples`` writes a checksummed journal while the program
+runs, so a killed run leaves one with a torn tail: it is analyzed up to
+its verified prefix, and a status line reports how many records the
+tail lost.  Plain v1 datasets from earlier versions still read.  Exit status: 0 on success; 1 for a damaged
 journal header or a source mismatch; 2 for bad usage or a missing file.
 """
 

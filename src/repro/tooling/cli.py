@@ -4,7 +4,7 @@ Usage::
 
     repro-profile profile program.chpl [-o run.cbp] [--batch-size N]
         [--adaptive [--confidence C] [--ci-width W] [--stability-window K]]
-        [--save-samples PATH [--journal]] [--inject-faults SPEC]
+        [--save-samples PATH] [--inject-faults SPEC]
         [--threads N] [--threshold P] [--fast] [--view data|code|hybrid|all]
         [--config name=value ...] [--fail-on-quarantine-rate X]
     repro-profile view run.cbp [--view data|code|hybrid|all] [--html PATH]
@@ -15,7 +15,7 @@ Usage::
 
 ``profile`` runs a program once, serially in one process, streaming
 its samples into post-mortem in batches of ``--batch-size`` as they
-are collected (``--save-samples --journal`` appends each batch to the
+are collected (``--save-samples`` appends each batch to a checksummed
 journal the same way, so a killed run leaves its verified prefix;
 with ``--adaptive`` each batch is one round of the stopping rule, and
 ``--round-samples`` is another spelling of ``--batch-size``), and
@@ -33,11 +33,15 @@ reported, so it can gate CI.
 turn them into one :class:`~repro.run_config.RunConfig` per run, which
 is where every value is checked.
 
-Exit status: 0 on success; 1 for a damaged artifact or an
-error-severity ``advise`` finding; 2 for bad usage (an unknown
-command, a missing source, an option value out of range or malformed:
-a usage line or one ``repro-`` line, never a traceback) or an IR
-verification failure; 3 when ``--fail-on-quarantine-rate`` trips.
+Exit status: 0 on success; 1 for a damaged artifact, an
+error-severity ``advise`` finding or a run-time fault of the program;
+2 for bad usage (an unknown command, a missing source, an option value
+out of range or malformed: a usage line or one ``repro-`` line, never a
+traceback), a program the frontend rejects (lex, parse, name or type
+error) or an IR verification failure; 3 when
+``--fail-on-quarantine-rate`` trips.  A fault of the program itself,
+at compile or run time, is one ``repro-profile: FILE:LINE:COL:
+message`` line on stderr (``repro-advise:`` under ``advise``).
 
 The historical single-command form (``repro-profile program.chpl ...``)
 still works: a first argument that names a file (or an option) is
@@ -231,15 +235,9 @@ def _add_run_flags(ap: argparse.ArgumentParser, profile: bool) -> None:
     ap.add_argument(
         "--save-samples",
         metavar="PATH",
-        help="write the raw sample dataset (JSONL) for offline analysis "
-        "with python -m repro.tooling.analyze",
-    )
-    ap.add_argument(
-        "--journal",
-        action="store_true",
-        help="with --save-samples: write the checksummed journal format "
-        "(per-record CRC, appended while the program runs, so a killed "
-        "run leaves its verified prefix)",
+        help="journal the raw samples (JSONL, a CRC per record, appended "
+        "while the program runs, so a killed run leaves its verified "
+        "prefix) for offline analysis with python -m repro.tooling.analyze",
     )
 
 
@@ -256,8 +254,6 @@ def _run_config(ap: argparse.ArgumentParser, args):
     profile_only = {}
     try:
         if "batch_size" in args:  # the flags only `profile` declares
-            if args.journal and not args.save_samples:
-                ap.error("--journal needs --save-samples")
             if args.fast and args.save_samples:
                 ap.error("--save-samples needs the unoptimized compile that "
                          "repro-analyze rebuilds (drop --fast)")
@@ -307,12 +303,6 @@ def profile_main(argv: list[str]) -> int:
         "later with the view/merge/diff subcommands, no re-run needed",
     )
     ap.add_argument(
-        "--streaming",
-        action="store_true",
-        help="accepted for compatibility: post-mortem always consumes "
-        "sample batches as they fill (streaming is the default)",
-    )
-    ap.add_argument(
         "--html",
         metavar="PATH",
         help="also write a self-contained HTML report (the GUI analogue)",
@@ -330,46 +320,38 @@ def profile_main(argv: list[str]) -> int:
 
     from .profiler import Profiler
 
-    if args.save_samples:
-        # Deterministic ids so the dataset is re-analyzable offline.
-        from ..compiler.lower import compile_source
-
-        program = compile_source(source, args.source, fresh_ids=True)
-    else:
-        program = source
-
-    profiler = Profiler(program, run, filename=args.source)
-    journal = saved = tap = None
-    if args.save_samples:
-        from ..sampling.dataset import (
-            DatasetHeader,
-            DatasetJournal,
-            save_samples,
-            source_digest,
-        )
-
-        header = DatasetHeader(
-            program=args.source,
-            source_sha256=source_digest(source),
-            threshold=run.threshold,
-            num_threads=run.num_threads,
-        )
-        if args.journal:
-            journal = DatasetJournal(args.save_samples, header)
-            tap = journal.extend
-        else:
-            saved = []
-            tap = saved.extend
+    journal = None
     try:
-        result = profiler.profile(tap=tap)
+        if args.save_samples:
+            # Deterministic ids so the dataset is re-analyzable offline.
+            from ..compiler.lower import compile_source
+            from ..sampling.dataset import (
+                DatasetHeader,
+                DatasetJournal,
+                source_digest,
+            )
+
+            program = compile_source(source, args.source, fresh_ids=True)
+            header = DatasetHeader(
+                program=args.source,
+                source_sha256=source_digest(source),
+                threshold=run.threshold,
+                num_threads=run.num_threads,
+            )
+            journal = DatasetJournal(args.save_samples, header)
+        else:
+            program = source
+        profiler = Profiler(program, run, filename=args.source)
+        result = profiler.profile(
+            tap=journal.extend if journal is not None else None
+        )
+    except _program_faults() as exc:
+        return _program_error("repro-profile", exc)
     finally:
         if journal is not None:
             journal.close()
     if journal is not None:
         print(f"[journaled samples saved to {args.save_samples}]")
-    elif saved is not None:
-        save_samples(args.save_samples, header, saved)
-        print(f"[raw samples saved to {args.save_samples}]")
 
     if args.output:
         from ..artifact import write_artifact
@@ -585,6 +567,30 @@ def _print_degradation(result) -> None:
         )
 
 
+def _program_faults() -> tuple[type[Exception], type[Exception]]:
+    """The faults of the program itself: the frontend's ``ChapelError``
+    (lex, parse, name or type) and the runtime's ``ExecutionError``.
+    An ``except`` clause evaluates this only while an exception
+    propagates, so neither class is imported by a run that raises
+    nothing."""
+    from ..chapel.errors import ChapelError
+    from ..runtime.interpreter import ExecutionError
+
+    return ChapelError, ExecutionError
+
+
+def _program_error(prog: str, exc: Exception) -> int:
+    """Prints a fault of the program itself as one ``PROG:
+    FILE:LINE:COL: message`` line, an ``ExecutionError``'s call stack
+    dropped, and returns the exit status: 2 when the frontend rejected
+    the program, 1 for a run-time fault."""
+    from ..chapel.errors import ChapelError
+
+    where = str(exc).partition("\n")[0]
+    print(f"{prog}: {where}", file=sys.stderr)
+    return 2 if isinstance(exc, ChapelError) else 1
+
+
 def _quarantine_gate(result, limit: float | None) -> int:
     """Exit 3 when the quarantine rate exceeds the CI gate."""
     if limit is None:
@@ -665,8 +671,9 @@ def advise_main(argv: list[str] | None = None) -> int:
 
     Exit status: 0 when no error-severity findings, 1 when the race
     detector (or any error-level rule) fires — the CI-gate contract —
-    and 2 for bad usage or when the module fails IR verification.  The
-    run flags apply with ``--profile``.
+    or the ``--profile`` run faults, and 2 for bad usage, a program the
+    frontend rejects, or a module that fails IR verification.  The run
+    flags apply with ``--profile``.
     """
     from ..analysis import (
         Severity,
@@ -754,6 +761,8 @@ def advise_main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"IR verification failed: {exc}", file=sys.stderr)
         return 2
+    except _program_faults() as exc:
+        return _program_error("repro-advise", exc)
     if report is not None:
         findings = rank_findings(findings, report)
 

@@ -1,8 +1,9 @@
 """Integer ``/`` and ``%`` mean one thing everywhere they are evaluated:
 at run time, in the ``--fast`` constant folder and in ``param``
 expressions.  Chapel truncates the quotient toward zero and gives the
-remainder the sign of the dividend.  A zero divisor is a located error
-wherever it is found."""
+remainder the sign of the dividend; the real remainder does too, as C's
+``fmod`` does.  A zero divisor is a located error wherever it is
+found."""
 
 import itertools
 
@@ -35,6 +36,30 @@ proc main() {{
 """
 
 
+#: (a, b) → a % b on reals, as C's fmod gives it (Python's % floors:
+#: -7.5 % 2.0 == 0.5 there).
+REAL_MOD = {
+    (7.5, 2.0): "1.5",
+    (-7.5, 2.0): "-1.5",
+    (7.5, -2.0): "1.5",
+    (-7.5, -2.0): "-1.5",
+}
+
+
+def real_program(a: float, b: float) -> str:
+    """Prints a % b on reals three ways, as :func:`program` does."""
+    return f"""
+proc main() {{
+  var a = {a};
+  var b = {b};
+  writeln(a % b);
+  writeln(({a}) % ({b}));
+  param Q = ({a}) % ({b});
+  writeln(Q);
+}}
+"""
+
+
 def run(source: str, fast: bool = False, engine: str = "fast") -> list[str]:
     module = compile_source(source, "div.chpl")
     if fast:
@@ -49,6 +74,25 @@ def test_every_evaluator_truncates(a, b):
     expected = [f"{q} {r}"] * 3
     assert run(program(a, b)) == expected
     assert run(program(a, b), fast=True) == expected
+
+
+@pytest.mark.parametrize("engine", ["generic", "fast"])
+@pytest.mark.parametrize("a,b", list(REAL_MOD))
+def test_real_modulo_truncates_like_fmod(a, b, engine):
+    expected = [REAL_MOD[(a, b)]] * 3
+    assert run(real_program(a, b), engine=engine) == expected
+    assert run(real_program(a, b), fast=True, engine=engine) == expected
+
+
+@pytest.mark.parametrize("engine", ["generic", "fast"])
+def test_real_modulo_of_infinity(engine):
+    # fmod(inf, y) is NaN and fmod(x, inf) is x, as in C; Python's
+    # math.fmod raises on the first.
+    source = (
+        "proc main() {\n  var inf = 1e308 * 10.0;\n"
+        "  writeln(inf % 2.0, -5.0 % inf);\n}\n"
+    )
+    assert run(source, engine=engine) == ["nan -5.0"]
 
 
 @pytest.mark.parametrize("op,what", [("/", "division"), ("%", "modulo")])

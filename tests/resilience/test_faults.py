@@ -10,8 +10,7 @@ class TestParse:
     def test_full_spec(self):
         plan = FaultPlan.parse(
             "drop=0.1,truncate=0.2:3,tagloss=0.05,corrupt=0.02,"
-            "strip=0.15,seed=42,crash=1;3,crash-rate=0.2,"
-            "straggle=2,straggle-delay=0.05"
+            "strip=0.15,seed=42"
         )
         assert plan.seed == 42
         assert plan.drop_rate == 0.1
@@ -20,10 +19,6 @@ class TestParse:
         assert plan.tag_loss_rate == 0.05
         assert plan.corrupt_rate == 0.02
         assert plan.strip_rate == 0.15
-        assert plan.crash_locales == (1, 3)
-        assert plan.crash_rate == 0.2
-        assert plan.straggler_locales == (2,)
-        assert plan.straggler_delay == 0.05
 
     def test_truncate_default_depth(self):
         assert FaultPlan.parse("truncate=0.5").truncate_depth == 2
@@ -37,7 +32,11 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["drop", "drop=abc", "nosuch=0.1", "drop=1.5", "truncate=0.1:0"],
+        [
+            "drop", "drop=abc", "nosuch=0.1", "drop=1.5", "truncate=0.1:0",
+            # Locale crash and straggle faults are not simulated.
+            "crash=1", "crash-rate=0.2", "straggle=2", "straggle-delay=0.05",
+        ],
     )
     def test_bad_specs_raise_typed(self, bad):
         with pytest.raises(SampleFormatError):
@@ -53,13 +52,6 @@ class TestPlan:
         with pytest.raises(SampleFormatError):
             FaultPlan(strip_rate=2.0)
 
-    def test_is_clean_ignores_locale_faults(self):
-        # Locale crash/straggle are orchestrated by the harness, not
-        # per sample — a plan with only those injects nothing into the
-        # stream.
-        assert FaultPlan(crash_locales=(1,), straggler_locales=(0,)).is_clean
-        assert not FaultPlan(drop_rate=0.01).is_clean
-
     def test_with_rate_covers_every_class(self):
         for fault in FAULT_CLASSES:
             plan = FaultPlan().with_rate(fault, 0.25)
@@ -74,20 +66,3 @@ class TestPlan:
         a, b = base.for_locale(0), base.for_locale(1)
         assert a.seed != b.seed
         assert a.drop_rate == b.drop_rate == 0.1
-
-    def test_should_crash_deterministic(self):
-        plan = FaultPlan(seed=11, crash_rate=0.5)
-        decisions = [plan.should_crash(i, a) for i in range(8) for a in range(3)]
-        again = [plan.should_crash(i, a) for i in range(8) for a in range(3)]
-        assert decisions == again
-        assert any(decisions) and not all(decisions)
-
-    def test_crash_locales_always_crash(self):
-        plan = FaultPlan(crash_locales=(2,))
-        assert plan.should_crash(2, 0) and plan.should_crash(2, 5)
-        assert not plan.should_crash(1, 0)
-
-    def test_straggle_seconds(self):
-        plan = FaultPlan(straggler_locales=(1,), straggler_delay=0.25)
-        assert plan.straggle_seconds(1) == 0.25
-        assert plan.straggle_seconds(0) == 0.0

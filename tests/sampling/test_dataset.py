@@ -1,15 +1,16 @@
 """Dataset persistence + offline analysis tests (the two-process
-step-2 → step-3 workflow)."""
+step-2 → step-3 workflow).  The recorded fixture is a v1 dataset, the
+plain JSONL earlier versions wrote: it must still read.  What
+``--save-samples`` writes now is the journal, which
+tests/resilience/test_journal.py and tests/tooling/test_analyze_cli.py
+cover."""
+
+import json
 
 import pytest
 
 from repro.compiler.lower import compile_source
-from repro.sampling.dataset import (
-    DatasetHeader,
-    load_samples,
-    save_samples,
-    source_digest,
-)
+from repro.sampling.dataset import load_samples, scan_journal, source_digest
 from repro.tooling.analyze import DatasetMismatch, analyze_dataset
 from repro.tooling.cli import main as cli_main
 from repro.run_config import RunConfig
@@ -24,20 +25,42 @@ proc main() {
 """
 
 
+def v1_record(sample) -> dict:
+    """One sample as a v1 dataset line spells it."""
+    record = {
+        "i": sample.index,
+        "t": sample.thread_id,
+        "k": sample.task_id,
+        "s": [list(frame) for frame in sample.stack],
+        "ip": sample.leaf_iid,
+    }
+    if sample.is_idle:
+        record["idle"] = True
+    if sample.spawn_tag is not None:
+        record["tag"] = sample.spawn_tag
+        record["pre"] = [list(frame) for frame in sample.pre_spawn_stack or ()]
+    return record
+
+
 def record(tmp_path, source=SRC, threshold=311):
+    """Profiles ``source`` and writes its raw samples as a v1 dataset:
+    a header line, then one JSON line per sample."""
     module = compile_source(source, "prog.chpl", fresh_ids=True)
     samples = []
     res = Profiler(module, RunConfig(num_threads=4, threshold=threshold)).profile(
         tap=samples.extend
     )
     path = tmp_path / "run.jsonl"
-    header = DatasetHeader(
-        program="prog.chpl",
-        source_sha256=source_digest(source),
-        threshold=threshold,
-        num_threads=4,
-    )
-    save_samples(str(path), header, samples)
+    header = {
+        "version": 1,
+        "program": "prog.chpl",
+        "source_sha256": source_digest(source),
+        "threshold": threshold,
+        "num_threads": 4,
+        "locale_id": 0,
+    }
+    lines = [header, *(v1_record(s) for s in samples)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     return res, samples, str(path)
 
 
@@ -95,7 +118,8 @@ class TestCLIWorkflow:
              "--save-samples", str(ds)]
         )
         assert rc == 0
-        assert ds.exists()
+        _samples, scan = scan_journal(str(ds))  # --save-samples journals
+        assert scan.intact and scan.n_good > 0
         capsys.readouterr()
 
         from repro.tooling.analyze import main as analyze_main

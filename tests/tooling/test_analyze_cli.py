@@ -37,7 +37,7 @@ def recorded(tmp_path, capsys):
     rc = cli_main(
         [
             "profile", str(src), "--threads", "2", "--threshold", "97",
-            "--save-samples", str(journal), "--journal", "--view", "none",
+            "--save-samples", str(journal), "--view", "none",
         ]
     )
     assert rc == 0
@@ -59,7 +59,7 @@ def killed(tmp_path_factory):
         [
             sys.executable, "-m", "repro.tooling.cli", "profile", str(src),
             "--config", "timesteps=8", "--save-samples", str(journal),
-            "--journal", "--view", "none",
+            "--view", "none",
         ],
         env={
             **os.environ,

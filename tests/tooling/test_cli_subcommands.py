@@ -194,28 +194,12 @@ class TestProfileAndView:
         live = capsys.readouterr().out
         rc = cli_main(
             [
-                "profile", source_file, "--view", "data", "--streaming",
+                "profile", source_file, "--view", "data",
                 "--batch-size", "16", *FAST_ARGS,
             ]
         )
         assert rc == 0
         assert capsys.readouterr().out == live
-
-    def test_streaming_flag_is_a_no_op(self, source_file, tmp_path, capsys):
-        # Streaming is the only path, so --streaming changes nothing,
-        # next to --save-samples or --adaptive alike.
-        saved = tmp_path / "s.jsonl"
-        for extra in (
-            ["--save-samples", str(saved)],
-            ["--adaptive", "--ci-width", "0.4", "--round-samples", "8"],
-        ):
-            argv = ["profile", source_file, "--view", "all", *FAST_ARGS, *extra]
-            assert cli_main(argv) == 0
-            plain = capsys.readouterr().out
-            first = saved.read_bytes()
-            assert cli_main([*argv, "--streaming"]) == 0
-            assert capsys.readouterr().out == plain
-            assert saved.read_bytes() == first
 
     def test_adaptive_profile_stops_early_and_replays(
         self, source_file, tmp_path, capsys
@@ -250,11 +234,12 @@ class TestProfileAndView:
             (["--threads", "0"], "--threads must be >= 1 (got 0)"),
             (["--threshold", "0"], "--threshold must be >= 1 (got 0)"),
             (["--threshold", "-5"], "--threshold must be >= 1 (got -5)"),
-            (["--streaming", "--batch-size", "0"], "--batch-size must be >= 1"),
+            (["--batch-size", "0"], "--batch-size must be >= 1"),
             (["--fast", "--save-samples", "s.jsonl"], "(drop --fast)"),
             (["--inject-faults", "bogus=1"], "unknown fault spec key 'bogus'"),
             (["--inject-faults", "drop=2"], "drop_rate must be in [0, 1]"),
             (["--inject-faults", "worker-crash=1"], "unknown fault spec key"),
+            (["--inject-faults", "crash=1"], "unknown fault spec key 'crash'"),
             (["--top", "0"], "--top must be >= 1 (got 0)"),
             (["--top", "-3"], "--top must be >= 1 (got -3)"),
             (["--round-samples", "0"], "--batch-size must be >= 1 (got 0)"),
@@ -262,7 +247,6 @@ class TestProfileAndView:
             (["--config", "foo"], "bad --config entry 'foo' (want name=value)"),
             (["--fail-on-quarantine-rate", "-1"], "must be in [0, 1] (got -1.0)"),
             (["--fail-on-quarantine-rate", "1.5"], "must be in [0, 1] (got 1.5)"),
-            (["--journal"], "--journal needs --save-samples"),
         ],
     )
     def test_bad_interval_knobs_exit_2_with_usage(
@@ -298,10 +282,7 @@ class TestProfileAndView:
         assert runs[0] == runs[1]
         assert ("[adaptive: stopped early" in runs[0][0]) == adaptive
 
-    @pytest.mark.parametrize("journal", [False, True])
-    def test_adaptive_saves_collected_records(
-        self, source_file, tmp_path, journal
-    ):
+    def test_adaptive_saves_collected_records(self, source_file, tmp_path):
         from repro.artifact import read_artifact
         from repro.sampling.dataset import load_samples
 
@@ -310,7 +291,6 @@ class TestProfileAndView:
             [
                 "profile", source_file, "--adaptive", "--ci-width", "0.4",
                 "--round-samples", "8", "--save-samples", str(saved),
-                *(["--journal"] if journal else []),
                 "-o", str(art), "--view", "none", *FAST_ARGS,
             ]
         )
@@ -416,6 +396,9 @@ class TestMergeDiff:
         from repro.artifact import read_artifact
 
         assert read_artifact(str(merged)).report.missing_locales == (1, 2)
+        assert cli_main(["view", str(merged)]) == 0
+        out = capsys.readouterr().out
+        assert "! merged without locale(s) 1, 2 (partial aggregate)" in out
 
     def test_diff_prints_blame_shift(self, artifact, tmp_path, capsys):
         rc = cli_main(["diff", artifact, artifact])
@@ -428,3 +411,32 @@ class TestMergeDiff:
         )
         assert rc == 0
         assert "Blame shift: before -> after" in capsys.readouterr().out
+
+
+class TestProgramErrors:
+    @pytest.mark.parametrize(
+        "command, program, status, line",
+        [
+            ("profile", "var x = ;\n", 2,
+             "repro-profile: bad.chpl:1:9: unexpected token ';' in expression"),
+            ("profile", 'var x: int = "s";\n', 2,
+             "repro-profile: bad.chpl:1:1: cannot convert string to int"),
+            ("profile", "var d = 0.0;\nvar x = 1.5 / d;\nwriteln(x);\n", 1,
+             "repro-profile: bad.chpl:2:13: division by zero"),
+            ("advise", "var x = ;\n", 2,
+             "repro-advise: bad.chpl:1:9: unexpected token ';' in expression"),
+        ],
+        ids=["parse", "type", "runtime", "advise-parse"],
+    )
+    def test_one_located_stderr_line(
+        self, tmp_path, monkeypatch, command, program, status, line, capsys
+    ):
+        # A fault of the program itself, whether the frontend rejects it
+        # or it faults at run time, is one located line: no traceback,
+        # no call stack.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.chpl").write_text(program)
+        assert cli_main([command, "bad.chpl"]) == status
+        err = capsys.readouterr().err
+        assert err.splitlines() == [line]
+        assert "Traceback" not in err

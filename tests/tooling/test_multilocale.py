@@ -3,6 +3,7 @@
 import pytest
 
 from repro.run_config import RunConfig
+from repro.runtime.interpreter import ExecutionError
 from repro.tooling.multilocale import profile_locales
 
 SPMD = """
@@ -53,3 +54,26 @@ class TestMultiLocale:
     def test_zero_locales_rejected(self):
         with pytest.raises(ValueError):
             profile_locales(SPMD, num_locales=0)
+
+    def test_failing_locale_raises_its_located_error(self):
+        # Nothing is marked missing: the program's own fault on one
+        # locale propagates unchanged.
+        source = SPMD.replace(
+            "proc main() {",
+            "proc main() {\n  var d = 1 - localeId;\n  writeln(7 / d);",
+        )
+        with pytest.raises(ExecutionError) as info:
+            profile_locales(source, num_locales=3, run=RUN, filename="spmd.chpl")
+        where = str(info.value).splitlines()[0]
+        assert where == "spmd.chpl:13:13: integer division by zero"
+
+
+class TestPerLocaleDecorrelation:
+    def test_sample_faults_decorrelated_across_locales(self):
+        # The same plan degrades each locale through an independent
+        # per-locale seed: locales must not all lose the same samples.
+        run = RunConfig(num_threads=4, threshold=499, faults="drop=0.3,seed=11")
+        res = profile_locales(SPMD, num_locales=3, run=run)
+        dropped = [r.fault_stats.dropped for r in res.per_locale]
+        assert all(d > 0 for d in dropped)
+        assert len(set(dropped)) > 1
