@@ -1,15 +1,18 @@
 """Lexer for the mini-Chapel frontend: one compiled master regex.
 
 Produces a flat list of :class:`~repro.chapel.tokens.Token` with precise
-source locations; line numbers feed the IR debug info that the blame
-analysis later uses to map samples back to source lines, so location
-accuracy here is load-bearing for the whole pipeline.
+source locations (:func:`tokenize`), or the same tokens as parallel
+kind, text, line and column lists (:func:`scan`, which the parser
+reads).  Line numbers feed the IR debug info that the blame analysis
+later uses to map samples back to source lines, so location accuracy
+here is load-bearing for the whole pipeline.
 
-Each step matches one alternative of ``_TOKEN`` at the cursor: trivia
-(whitespace and ``//`` comments), a ``/*`` opener, a number, a word, a
-string, or an operator (longest first).  Nested ``/* */`` comments and
-malformed strings leave the regex for a short scan of their own.  Columns
-count characters from the last newline, ``\\r`` and ``\\t`` included.
+Each step matches one alternative of ``_TOKEN`` where the last step
+ended: trivia (whitespace and ``//`` comments), a ``/*`` opener, a
+number, a word, a string, or an operator (longest first), each token
+with the blanks after it.  Nested ``/* */`` comments and malformed
+strings leave the regex for a short scan of their own.  Columns count
+characters from the last newline, ``\\r`` and ``\\t`` included.
 
 Character classes follow ``str`` semantics, not ASCII: a number starts
 at any ``str.isdigit`` character, a word at any ``str.isalpha``
@@ -81,10 +84,13 @@ _STRING_BODY = {q: rf"""(?:[^{q}\\\n]|\\[nt\\"'])*+""" for q in "\"'"}
 
 # Possessive quantifiers keep a failed fraction or exponent from
 # backtracking into the digits before it (``1.5E*`` is ``1.5 E *``).
-# A fraction needs a digit after the dot, so ``0..9`` is a range.
+# A fraction needs a digit after the dot, so ``0..9`` is a range.  A
+# token match also takes the blanks after it (``[ \t\r]``, never a
+# newline), so only line breaks and comments cost a step of their own;
+# the last alternative takes any one character that starts no token.
 _TOKEN = re.compile(
     r"(?P<trivia>(?:[ \t\r\n]++|//[^\n]*+)++)"
-    r"|(?P<comment>/\*)"
+    r"|(?:(?P<comment>/\*)"
     rf"|(?P<real>{_DIGIT}{_DIGIT_RUN}"
     rf"(?:\.{_DIGIT}{_DIGIT_RUN}(?:{_EXPONENT})?+|{_EXPONENT}))"
     rf"|(?P<int>{_DIGIT}{_DIGIT_RUN})"
@@ -95,12 +101,17 @@ _TOKEN = re.compile(
     + r"""|(?P<quote>["'])"""
     + "|(?P<op>"
     + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
-    + ")"
+    + "))[ \t\r]*+"
+    + r"|(?P<bad>[\s\S])"
 )
+#: ``Match.lastindex`` of each alternative, in pattern order.
+_TRIVIA, _COMMENT, _REAL, _INT, _WORD, _STRING, _QUOTE, _OP, _BAD = range(1, 10)
 _COMMENT_DELIMITER = re.compile(r"/\*|\*/")
 _STRING_PREFIX = {q: re.compile(body) for q, body in _STRING_BODY.items()}
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
+_IDENT = TokenKind.IDENT
+_new = tuple.__new__
 
 
 def tokenize(source: str, filename: str = "<string>") -> list[Token]:
@@ -110,69 +121,98 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
     token, an unterminated string or block comment, or an unknown
     escape sequence.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    match = _TOKEN.match
+    kinds, texts, lines, columns = scan(source, filename)
+    return [
+        _new(Token, (kind, text, _new(SourceLocation, (filename, line, column))))
+        for kind, text, line, column in zip(kinds, texts, lines, columns)
+    ]
+
+
+def scan(
+    source: str, filename: str = "<string>"
+) -> tuple[list[TokenKind], list[str], list[int], list[int]]:
+    """:func:`tokenize` as four parallel columns: the kind, text, line
+    and column of every token, EOF included.  The parser reads these,
+    and builds a location only for the tokens a node or an error
+    needs."""
+    kinds: list[TokenKind] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    columns: list[int] = []
+    add_kind = kinds.append
+    add_text = texts.append
+    add_line = lines.append
+    add_column = columns.append
+    keyword = KEYWORDS.get
+    operator = _OPERATORS.__getitem__
+    count = source.count
     pos = 0
-    end_of_source = len(source)
     line = 1
     line_start = 0  # index of the first character of ``line``
-    while pos < end_of_source:
-        m = match(source, pos)
-        if m is None:
-            raise LexError(
-                f"unexpected character {source[pos]!r}",
-                SourceLocation(filename, line, pos - line_start + 1),
-            )
-        group = m.lastgroup
-        end = m.end()
-        if group == "trivia" or group == "comment":
-            if group == "comment":
-                end = _block_comment_end(
-                    source, end, SourceLocation(filename, line, pos - line_start + 1)
+    # One pass of ``finditer`` per stretch between block comments: the
+    # matches tile the source, so each starts where the last one ended.
+    while True:
+        for m in _TOKEN.finditer(source, pos):
+            group = m.lastindex
+            if group == _TRIVIA:
+                start, pos = m.span()
+                newlines = count("\n", start, pos)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", start, pos) + 1
+                continue
+            start = m.start()
+            text = m[group]
+            if group == _WORD:
+                kind = keyword(text, _IDENT)
+                first = text[0]
+                if first > "\x7f" and not first.isalpha():
+                    # A numeric character that is not a digit (``Ⅷ``, ``½``)
+                    # continues a word but cannot start one.
+                    raise LexError(
+                        f"unexpected character {first!r}",
+                        SourceLocation(filename, line, start - line_start + 1),
+                    )
+            elif group == _OP:
+                kind = operator(text)
+            elif group == _INT:
+                kind = TokenKind.INT_LIT
+                text = text.replace("_", "")
+            elif group == _REAL:
+                kind = TokenKind.REAL_LIT
+                text = text.replace("_", "")
+            elif group == _STRING:
+                kind = TokenKind.STRING_LIT
+                text = text[1:-1]
+                if "\\" in text:
+                    text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
+            elif group == _COMMENT:
+                pos = _block_comment_end(
+                    source, m.end(group), SourceLocation(filename, line, start - line_start + 1)
                 )
-            newlines = source.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", pos, end) + 1
-            pos = end
-            continue
-        text = m.group()
-        if group == "word":
-            kind = KEYWORDS.get(text, TokenKind.IDENT)
-            first = text[0]
-            if not (first.isalpha() or first == "_"):
-                # A numeric character that is not a digit (``Ⅷ``, ``½``)
-                # continues a word but cannot start one.
+                newlines = count("\n", start, pos)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", start, pos) + 1
+                break  # resume after the comment
+            elif group == _QUOTE:  # a string the ``string`` alternative rejected
+                raise _string_error(source, start, filename, line, line_start)
+            else:
                 raise LexError(
-                    f"unexpected character {first!r}",
-                    SourceLocation(filename, line, pos - line_start + 1),
+                    f"unexpected character {text!r}",
+                    SourceLocation(filename, line, start - line_start + 1),
                 )
-        elif group == "op":
-            kind = _OPERATORS[text]
-        elif group == "int":
-            kind = TokenKind.INT_LIT
-            text = text.replace("_", "")
-        elif group == "real":
-            kind = TokenKind.REAL_LIT
-            text = text.replace("_", "")
-        elif group == "string":
-            kind = TokenKind.STRING_LIT
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text)
-        else:  # "quote": a string the ``string`` alternative rejected
-            raise _string_error(source, pos, filename, line, line_start)
-        append(Token(kind, text, SourceLocation(filename, line, pos - line_start + 1)))
-        pos = end
-    append(
-        Token(
-            TokenKind.EOF,
-            "",
-            SourceLocation(filename, line, end_of_source - line_start + 1),
-        )
-    )
-    return tokens
+            add_kind(kind)
+            add_text(text)
+            add_line(line)
+            add_column(start - line_start + 1)
+        else:
+            break
+    add_kind(TokenKind.EOF)
+    add_text("")
+    add_line(line)
+    add_column(len(source) - line_start + 1)
+    return kinds, texts, lines, columns
 
 
 def _block_comment_end(source: str, pos: int, start: SourceLocation) -> int:

@@ -1,6 +1,9 @@
 """Symbol tables and lexical scopes for the mini-Chapel frontend.
 
-A :class:`Scope` chain resolves identifiers during lowering.  Each
+A :class:`Scope` chain models lexical scoping: a name is defined once
+per scope and an inner definition hides an outer one.  The lowering
+(:class:`~repro.compiler.lower.FunctionLowerer`) keeps these rules with
+the chain flattened into one name map plus an undo frame per scope.  Each
 :class:`Symbol` remembers whether it is a *global* (Chapel module-level
 variable — the paper's ``main``-context variables like MiniMD's ``Pos``),
 a formal parameter (with intent), or a local, because the blame

@@ -10,7 +10,7 @@ loops, zippered iteration, ``select``-``when``, and reductions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -161,9 +161,12 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SourceLocation:
-    """A position in a source file (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in a source file (1-based line and column).
+
+    A named tuple, so it is immutable and equal and hashed by value, and
+    costs one ``tuple.__new__`` to build.
+    """
 
     filename: str
     line: int
@@ -173,8 +176,7 @@ class SourceLocation:
         return f"{self.filename}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source location."""
 
     kind: TokenKind

@@ -23,7 +23,7 @@ Design notes relevant to blame:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 from ..chapel.tokens import SourceLocation
@@ -40,15 +40,61 @@ class Value:
     type: Type
 
 
-@dataclass(frozen=True)
-class Constant(Value):
+class _Operand(Value):
+    """An immutable two-field operand record: equal and hashed by its
+    fields, with a dataclass-style ``repr``.  ``__setattr__`` refuses
+    every assignment, so ``__init__`` stores through the slot
+    descriptors, which is cheap enough for one record per literal, and
+    ``copy`` and ``pickle`` rebuild a record through its constructor."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, str]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        a, b = self.__match_args__
+        return getattr(self, a), getattr(self, b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        a, b = self.__match_args__
+        return (
+            f"{self.__class__.__qualname__}({a}={getattr(self, a)!r}, "
+            f"{b}={getattr(self, b)!r})"
+        )
+
+
+class Constant(_Operand):
     """An immediate constant operand."""
 
-    type: Type
-    value: object
+    __slots__ = ("type", "value")
+    __match_args__ = ("type", "value")
+
+    def __init__(self, type: Type, value: object) -> None:
+        _set_constant_type(self, type)
+        _set_constant_value(self, value)
 
     def __str__(self) -> str:
         return f"{self.value}"
+
+
+_set_constant_type = Constant.__dict__["type"].__set__
+_set_constant_value = Constant.__dict__["value"].__set__
 
 
 class Register(Value):
@@ -73,15 +119,23 @@ class Register(Value):
         return str(self)
 
 
-@dataclass(frozen=True)
-class GlobalRef(Value):
-    """Reference to a module global's storage (an address value)."""
+class GlobalRef(_Operand):
+    """Reference to a module global's storage (an address value);
+    ``type`` is the type of the stored value."""
 
-    type: Type  # type of the stored value
-    name: str
+    __slots__ = ("type", "name")
+    __match_args__ = ("type", "name")
+
+    def __init__(self, type: Type, name: str) -> None:
+        _set_global_type(self, type)
+        _set_global_name(self, name)
 
     def __str__(self) -> str:
         return f"@{self.name}"
+
+
+_set_global_type = GlobalRef.__dict__["type"].__set__
+_set_global_name = GlobalRef.__dict__["name"].__set__
 
 
 # ---------------------------------------------------------------------------

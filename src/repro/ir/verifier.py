@@ -7,7 +7,17 @@ interpreter both assume these invariants.
 
 from __future__ import annotations
 
-from .instructions import Alloca, Br, CBr, Instruction, Register, Ret
+from ..chapel.types import VoidType
+from .instructions import (
+    Alloca,
+    Br,
+    Call,
+    CBr,
+    Instruction,
+    Register,
+    Ret,
+    SpawnJoin,
+)
 from .module import Function, Module
 
 
@@ -16,39 +26,54 @@ class VerificationError(Exception):
 
 
 def verify_function(f: Function, module: Module | None = None) -> None:
+    """Checks the structure of ``f``.
+
+    One walk over the instructions checks ids, terminators and
+    definitions, and sets aside each register operand not yet defined
+    where it is used (a use may come before its definition in block
+    order).  Those are resolved against the function's full set of
+    definitions afterwards, so errors come out in the order of a walk
+    for definitions followed by a walk for uses."""
     if not f.blocks:
         raise VerificationError(f"{f.name}: function has no blocks")
 
     seen_iids: set[int] = set()
     defined_regs: set[int] = {p.register.rid for p in f.params}
     block_set = set(f.blocks)
+    pending: list[tuple[Instruction, Register]] = []
 
     for block in f.blocks:
-        if not block.instructions:
+        instrs = block.instructions
+        if not instrs:
             raise VerificationError(f"{f.name}/{block.label}: empty block")
-        term = block.instructions[-1]
+        term = instrs[-1]
         if not term.is_terminator():
             raise VerificationError(
                 f"{f.name}/{block.label}: block does not end in a terminator "
                 f"(last is {term.opname})"
             )
-        for i, instr in enumerate(block.instructions):
+        last = len(instrs) - 1
+        for i, instr in enumerate(instrs):
             if instr.iid in seen_iids:
                 raise VerificationError(
                     f"{f.name}: duplicate instruction id {instr.iid}"
                 )
             seen_iids.add(instr.iid)
-            if instr.is_terminator() and i != len(block.instructions) - 1:
+            if i != last and instr.is_terminator():
                 raise VerificationError(
                     f"{f.name}/{block.label}: terminator {instr.opname} "
                     f"in mid-block position {i}"
                 )
-            if instr.result is not None:
-                if instr.result.rid in defined_regs:
+            for op in instr.operands():
+                if isinstance(op, Register) and op.rid not in defined_regs:
+                    pending.append((instr, op))
+            result = instr.result
+            if result is not None:
+                if result.rid in defined_regs:
                     raise VerificationError(
-                        f"{f.name}: register {instr.result} defined twice"
+                        f"{f.name}: register {result} defined twice"
                     )
-                defined_regs.add(instr.result.rid)
+                defined_regs.add(result.rid)
         if isinstance(term, Br) and term.target not in block_set:
             raise VerificationError(
                 f"{f.name}/{block.label}: branch to foreign block "
@@ -65,18 +90,14 @@ def verify_function(f: Function, module: Module | None = None) -> None:
     # Every register operand must be defined somewhere in this function
     # (we don't enforce dominance — the -O0 style lowering guarantees it
     # structurally, and allocas all sit in the entry block).
-    for block in f.blocks:
-        for instr in block.instructions:
-            for op in instr.operands():
-                if isinstance(op, Register) and op.rid not in defined_regs:
-                    raise VerificationError(
-                        f"{f.name}: use of undefined register {op} in "
-                        f"[{instr.iid}] {instr}"
-                    )
+    for instr, op in pending:
+        if op.rid not in defined_regs:
+            raise VerificationError(
+                f"{f.name}: use of undefined register {op} in "
+                f"[{instr.iid}] {instr}"
+            )
 
     # Non-void functions must return a value on every ret.
-    from ..chapel.types import VoidType
-
     if not isinstance(f.return_type, VoidType):
         for block in f.blocks:
             term = block.instructions[-1]
@@ -156,22 +177,24 @@ def verify_alloca_bindings(f: Function) -> None:
 
 def verify_module(module: Module) -> None:
     """Verifies every function plus inter-function references."""
-    for f in module.functions.values():
+    functions = module.functions
+    for f in functions.values():
         verify_function(f, module)
-    from .instructions import Call, SpawnJoin
-
-    for f, instr in module.all_instructions():
-        if isinstance(instr, Call) and not instr.is_builtin:
-            if instr.callee not in module.functions:
-                raise VerificationError(
-                    f"{f.name}: call to unknown function {instr.callee!r}"
-                )
-        if isinstance(instr, SpawnJoin):
-            if instr.outlined not in module.functions:
-                raise VerificationError(
-                    f"{f.name}: spawn of unknown outlined function "
-                    f"{instr.outlined!r}"
-                )
+    for f in functions.values():
+        for block in f.blocks:
+            for instr in block.instructions:
+                if not isinstance(instr, (Call, SpawnJoin)):
+                    continue
+                if isinstance(instr, Call):
+                    if not instr.is_builtin and instr.callee not in functions:
+                        raise VerificationError(
+                            f"{f.name}: call to unknown function {instr.callee!r}"
+                        )
+                elif instr.outlined not in functions:
+                    raise VerificationError(
+                        f"{f.name}: spawn of unknown outlined function "
+                        f"{instr.outlined!r}"
+                    )
 
 
 def verify_for_analysis(module: Module) -> None:

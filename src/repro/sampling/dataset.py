@@ -79,20 +79,35 @@ class DatasetHeader:
         )
 
 
-def _sample_to_json(s: RawSample) -> dict:
-    out = {
-        "i": s.index,
-        "t": s.thread_id,
-        "k": s.task_id,
-        "s": [[f, iid] for f, iid in s.stack],
-        "ip": s.leaf_iid,
-    }
-    if s.is_idle:
-        out["idle"] = True
-    if s.spawn_tag is not None:
-        out["tag"] = s.spawn_tag
-        out["pre"] = [[f, iid] for f, iid in (s.pre_spawn_stack or ())]
-    return out
+def sample_line(s: RawSample, quoted: dict[str, str]) -> str:
+    """One CRC-framed sample record, ``{"c":CRC,"s":BODY}``, written
+    from the record's fixed schema: BODY is the compact JSON of the
+    record with its keys in sorted order, the bytes :func:`crc_line`
+    would write for the same object.  ``quoted`` maps function names to
+    their JSON strings; the caller keeps it for the whole stream, so
+    each name is quoted once."""
+    # The keys in sorted order: i, idle, ip, k, pre, s, t, tag.
+    idle = ',"idle":true' if s.is_idle else ""
+    head = f'{{"i":{s.index}{idle},"ip":{s.leaf_iid},"k":{s.task_id},'
+    stack = _frames(s.stack, quoted)
+    tag = s.spawn_tag
+    if tag is None:
+        body = f'{head}"s":[{stack}],"t":{s.thread_id}}}'
+    else:
+        pre = _frames(s.pre_spawn_stack or (), quoted)
+        body = f'{head}"pre":[{pre}],"s":[{stack}],"t":{s.thread_id},"tag":{tag}}}'
+    return _framed("s", body)
+
+
+def _frames(frames: tuple[tuple[str, int], ...], quoted: dict[str, str]) -> str:
+    """The JSON items of a ``(function, iid)`` frame sequence."""
+    parts = []
+    for name, iid in frames:
+        q = quoted.get(name)
+        if q is None:
+            q = quoted[name] = json.dumps(name)
+        parts.append(f"[{q},{iid}]")
+    return ",".join(parts)
 
 
 def _sample_from_json(d: dict) -> RawSample:
@@ -151,7 +166,10 @@ def crc_line(kind: str, payload: dict | list) -> str:
     Shared framing: the v2 sample journal and the ``.cbp`` profile
     artifact (:mod:`repro.artifact.format`) both use it, so one reader
     (:func:`check_line`) detects bit flips in either."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return _framed(kind, json.dumps(payload, separators=(",", ":"), sort_keys=True))
+
+
+def _framed(kind: str, body: str) -> str:
     return f'{{"c":{zlib.crc32(body.encode())},"{kind}":{body}}}'
 
 
@@ -219,6 +237,7 @@ class DatasetJournal:
         )
         self.flush_every = max(1, flush_every)
         self.n_appended = 0
+        self._quoted: dict[str, str] = {}
         self._f = open(path, "w")
         self._f.write(crc_line("h", self.header.to_json()) + "\n")
         self._f.flush()
@@ -235,19 +254,22 @@ class DatasetJournal:
         journal.header = header
         journal.flush_every = 64
         journal.n_appended = scan.n_good
+        journal._quoted = {}
         journal._f = open(path, "a")
         return journal, samples
 
     def append(self, sample: RawSample) -> None:
-        self._f.write(crc_line("s", _sample_to_json(sample)) + "\n")
-        self.n_appended += 1
-        if self.n_appended % self.flush_every == 0:
-            self._f.flush()
-            os.fsync(self._f.fileno())
+        self.extend((sample,))
 
     def extend(self, samples: list[RawSample]) -> None:
+        write = self._f.write
+        quoted = self._quoted
         for s in samples:
-            self.append(s)
+            write(sample_line(s, quoted) + "\n")
+            self.n_appended += 1
+            if self.n_appended % self.flush_every == 0:
+                self._f.flush()
+                os.fsync(self._f.fileno())
 
     def flush(self) -> None:
         self._f.flush()

@@ -178,11 +178,10 @@ class Monitor:
         same ``{"c": crc, "s": …}`` framing the v2 dataset journal and
         the ``.cbp`` artifact use (:func:`repro.sampling.dataset.
         crc_line`), so two collections can be compared byte for byte."""
-        from .dataset import _sample_to_json, crc_line
+        from .dataset import sample_line
 
-        return "".join(
-            crc_line("s", _sample_to_json(s)) + "\n" for s in self.samples
-        ).encode()
+        quoted: dict[str, str] = {}
+        return "".join(sample_line(s, quoted) + "\n" for s in self.samples).encode()
 
     @property
     def n_quarantined(self) -> int:

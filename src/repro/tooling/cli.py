@@ -34,14 +34,17 @@ turn them into one :class:`~repro.run_config.RunConfig` per run, which
 is where every value is checked.
 
 Exit status: 0 on success; 1 for a damaged artifact, an
-error-severity ``advise`` finding or a run-time fault of the program;
-2 for bad usage (an unknown command, a missing source, an option value
-out of range or malformed: a usage line or one ``repro-`` line, never a
-traceback), a program the frontend rejects (lex, parse, name or type
-error) or an IR verification failure; 3 when
-``--fail-on-quarantine-rate`` trips.  A fault of the program itself,
-at compile or run time, is one ``repro-profile: FILE:LINE:COL:
-message`` line on stderr (``repro-advise:`` under ``advise``).
+error-severity ``advise`` finding, a run-time fault of the program, or
+a program that calls ``halt()``; 2 for bad usage (an unknown command, a
+missing source, an option value out of range or malformed: a usage line
+or one ``repro-`` line, never a traceback), a program the frontend
+rejects (lex, parse, name or type error) or an IR verification failure;
+3 when ``--fail-on-quarantine-rate`` trips.  A fault of the program
+itself, at compile or run time, is one ``repro-profile: FILE:LINE:COL:
+message`` line on stderr (``repro-advise:`` under ``advise``).  A
+halted run still writes its artifact and views, up to the halt, then
+prints one ``repro-profile: FILE: halted: MESSAGE`` line on stderr; a
+halt takes precedence over ``--fail-on-quarantine-rate``.
 
 The historical single-command form (``repro-profile program.chpl ...``)
 still works: a first argument that names a file (or an option) is
@@ -393,7 +396,9 @@ def profile_main(argv: list[str]) -> int:
             f"{trail.samples_collected} samples ({trail.stop_reason})]"
         )
     _print_degradation(result)
-    return _quarantine_gate(result, args.fail_on_quarantine_rate)
+    return _halt_status("repro-profile", args.source, result) or _quarantine_gate(
+        result, args.fail_on_quarantine_rate
+    )
 
 
 def view_main(argv: list[str]) -> int:
@@ -591,6 +596,16 @@ def _program_error(prog: str, exc: Exception) -> int:
     return 2 if isinstance(exc, ChapelError) else 1
 
 
+def _halt_status(prog: str, filename: str, result) -> int:
+    """Exit 1, after one ``PROG: FILE: halted: MESSAGE`` line on stderr,
+    when the profiled program called ``halt()``; else 0."""
+    run = result.run_result
+    if not run.halted:
+        return 0
+    print(f"{prog}: {filename}: halted: {run.halt_message}", file=sys.stderr)
+    return 1
+
+
 def _quarantine_gate(result, limit: float | None) -> int:
     """Exit 3 when the quarantine rate exceeds the CI gate."""
     if limit is None:
@@ -671,9 +686,10 @@ def advise_main(argv: list[str] | None = None) -> int:
 
     Exit status: 0 when no error-severity findings, 1 when the race
     detector (or any error-level rule) fires — the CI-gate contract —
-    or the ``--profile`` run faults, and 2 for bad usage, a program the
-    frontend rejects, or a module that fails IR verification.  The run
-    flags apply with ``--profile``.
+    or the ``--profile`` run faults or halts (after its report, one
+    ``repro-advise: FILE: halted: MESSAGE`` line), and 2 for bad usage,
+    a program the frontend rejects, or a module that fails IR
+    verification.  The run flags apply with ``--profile``.
     """
     from ..analysis import (
         Severity,
@@ -779,7 +795,9 @@ def advise_main(argv: list[str] | None = None) -> int:
         print(render_findings(shown, title=f"Advisor report: {filename}"))
     if result is not None:
         _print_degradation(result)
-        gate = _quarantine_gate(result, args.fail_on_quarantine_rate)
+        gate = _halt_status("repro-advise", filename, result) or _quarantine_gate(
+            result, args.fail_on_quarantine_rate
+        )
         if gate:
             return gate
     has_errors = any(f.severity >= Severity.ERROR for f in findings)

@@ -1,10 +1,13 @@
 """The master-regex lexer against the character-at-a-time reference.
 
 ``reference_lexer.Lexer`` is the scanner ``tokenize`` replaced.  On
-generated text, on every ``.chpl`` file in the repository and on every
-generated paper program, the two must produce the same ``(kind, text,
-line, column)`` tokens, or raise a ``LexError`` with the same message
-at the same location.
+generated text, on every ``.chpl`` file in the repository, on every
+generated paper program, and on the rest of the front-end oracle's
+corpus (the generated programs of ``tests/test_properties.py``, the
+strings of the parser and lowering tests, the scoping programs of
+``tests/compiler/test_frontend_reference.py``), the two must produce
+the same ``(kind, text, line, column)`` tokens, or raise a ``LexError``
+with the same message at the same location.
 """
 
 import glob
@@ -19,6 +22,8 @@ from repro.bench.programs import clomp, example_fig1, lulesh, minimd, mttkrp, sp
 from repro.chapel.errors import LexError
 from repro.chapel.lexer import _DIGIT, tokenize
 
+from ..compiler.test_frontend_reference import SCOPING, TEST_STRINGS
+from ..test_properties import programs
 from .reference_lexer import Lexer
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -74,6 +79,7 @@ def test_generated_characters_match_reference(text):
         "/*/", "/* /* */", "/* */*/", "a/*b*/c", "a//b\nc", "x /= y",
         '"a\\', '"a\\\nb"', "'\\q'", '"\\t\\n\\\\\\"\\\'"', "'\"'",
         "Ⅷx", "xⅧ", "²", "1²", "٣٤", "é_1", "\r\n  x", "\x0b",
+        "/* a\nb */ x", "x /*\n\n*/ y z", "/* /*\n*/ */x\ny", "a /* b */ c\n/*\n*/d",
     ],
 )
 def test_known_pitfalls_match_reference(text):
@@ -105,6 +111,20 @@ GENERATED = (
 @pytest.mark.parametrize("name,source", GENERATED, ids=[n for n, _ in GENERATED])
 def test_generated_paper_programs_match_reference(name, source):
     assert_matches_reference(source, f"{name}.chpl")
+
+
+def test_front_end_corpus_matches_reference():
+    """The strings of the parser and lowering tests and the scoping
+    programs that ``tests/compiler/test_frontend_reference.py`` feeds the
+    whole front end."""
+    for text in TEST_STRINGS + [source for _, source in SCOPING]:
+        assert_matches_reference(text, "corpus.chpl")
+
+
+@given(programs())
+@settings(max_examples=50, deadline=None)
+def test_generated_programs_match_reference(source):
+    assert_matches_reference(source)
 
 
 def test_digit_class_is_str_isdigit():

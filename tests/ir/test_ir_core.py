@@ -37,6 +37,29 @@ class TestValues:
     def test_constant_repr(self):
         assert str(Constant(INT, 7)) == "7"
 
+    @pytest.mark.parametrize(
+        "cls, fields, text",
+        [
+            (Constant, (INT, 7), "Constant(type=IntType(width=64), value=7)"),
+            (I.GlobalRef, (REAL, "g"), "GlobalRef(type=RealType(width=64), name='g')"),
+        ],
+    )
+    def test_operand_records(self, cls, fields, text):
+        """Constants and global references are immutable values: equal
+        and hashed by their fields, and copied or pickled whole."""
+        import copy
+        import dataclasses
+        import pickle
+
+        value = cls(*fields)
+        assert repr(value) == text
+        assert value == cls(*fields) and hash(value) == hash(cls(*fields))
+        assert value != fields and value != cls(BOOL, fields[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.type = BOOL
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is cls and clone == value and repr(clone) == text
+
     def test_register_producer_backlink(self):
         fn = make_fn()
         b = IRBuilder(fn)

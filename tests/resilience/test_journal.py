@@ -8,8 +8,10 @@ from repro.errors import DatasetCorruptError
 from repro.sampling.dataset import (
     DatasetHeader,
     DatasetJournal,
+    crc_line,
     load_journal,
     load_samples,
+    sample_line,
     scan_journal,
 )
 from repro.sampling.records import RawSample
@@ -155,3 +157,68 @@ class TestResume:
         assert not scan.intact and samples == [] and scan.n_corrupt == 3
         with pytest.raises(DatasetCorruptError):
             load_journal(path, strict=True)
+
+
+def _sample_to_json(s):
+    """The sample record as the dict the journal once dumped per record
+    (``crc_line("s", ...)``): the byte-identity reference for
+    ``sample_line``."""
+    out = {
+        "i": s.index,
+        "t": s.thread_id,
+        "k": s.task_id,
+        "s": [[f, iid] for f, iid in s.stack],
+        "ip": s.leaf_iid,
+    }
+    if s.is_idle:
+        out["idle"] = True
+    if s.spawn_tag is not None:
+        out["tag"] = s.spawn_tag
+        out["pre"] = [[f, iid] for f, iid in (s.pre_spawn_stack or ())]
+    return out
+
+
+class TestRecordSerializer:
+    """``sample_line`` writes the record schema directly; every line must
+    equal the key-sorted ``json.dumps`` framing of the record's dict."""
+
+    @staticmethod
+    def _reference(sample):
+        return crc_line("s", _sample_to_json(sample))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"is_idle": True, "task_id": -1, "stack": (("__sched_yield", -1),)},
+            {"spawn_tag": 7, "pre_spawn_stack": (("main", 3), ("f", 2))},
+            {"spawn_tag": 0, "pre_spawn_stack": None},
+            {"spawn_tag": 3, "pre_spawn_stack": ()},
+            {"stack": ()},
+            {"stack": (("é\"\\\n", 1),)},
+            {"leaf_iid": -7, "stack": (("__stripped_00002a", 42),)},
+        ],
+    )
+    def test_matches_sorted_json_framing(self, fields):
+        base = dict(
+            index=4, thread_id=1, task_id=2, stack=(("f", 12), ("main", 1)),
+            leaf_iid=12, spawn_tag=None, pre_spawn_stack=None,
+        )
+        sample = RawSample(**{**base, **fields})
+        assert sample_line(sample, {}) == self._reference(sample)
+
+    def test_profiled_stream_matches(self):
+        from repro.bench.programs import clomp
+        from repro.run_config import RunConfig
+        from repro.tooling.profiler import Profiler
+
+        samples = []
+        Profiler(
+            clomp.build_source(), RunConfig(threshold=499, num_threads=4)
+        ).profile(tap=samples.extend)
+        assert any(s.is_idle for s in samples)
+        assert any(s.spawn_tag is not None for s in samples)
+        quoted = {}
+        assert [sample_line(s, quoted) for s in samples] == [
+            self._reference(s) for s in samples
+        ]
