@@ -110,18 +110,27 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
         )
         fn_cols["ar"].append(1 if f.is_artificial else 0)
 
-    # Instances, columnar over interned stack/location ids.
-    inst_cols: dict[str, list] = {
-        "ix": [], "th": [], "st": [], "lo": [], "gl": [], "tg": [], "rc": [],
+    # Instances, columnar over interned stack/location ids.  The
+    # snapshot's ids are re-pooled by their frames, once per distinct
+    # (stack id, location id) pair in first-seen row order — the order
+    # a walk over the instances would pool them in.
+    cols = snapshot.postmortem.columns
+    stack_ids: dict[int, int] = {}
+    loc_ids: dict[int, int] = {}
+    for sid, lid in dict.fromkeys(zip(cols.stack_id, cols.location_id)):
+        if sid not in stack_ids:
+            stack_ids[sid] = stacks.add(cols.stacks[sid])
+        if lid not in loc_ids:
+            loc_ids[lid] = locs.add(cols.locations[lid])
+    inst_cols = {
+        "ix": cols.index,
+        "th": cols.thread_id,
+        "st": list(map(stack_ids.__getitem__, cols.stack_id)),
+        "lo": list(map(loc_ids.__getitem__, cols.location_id)),
+        "gl": cols.glued,
+        "tg": cols.spawn_tag,
+        "rc": cols.recovered,
     }
-    for inst in snapshot.postmortem.instances:
-        inst_cols["ix"].append(inst.index)
-        inst_cols["th"].append(inst.thread_id)
-        inst_cols["st"].append(stacks.add(inst.frames))
-        inst_cols["lo"].append(locs.add(inst.locations))
-        inst_cols["gl"].append(1 if inst.was_glued else 0)
-        inst_cols["tg"].append(inst.spawn_tag)
-        inst_cols["rc"].append(1 if inst.was_recovered else 0)
 
     pm = snapshot.postmortem
     provenance = {
@@ -345,7 +354,7 @@ def _decode(by_kind: dict[str, object]) -> ProfileSnapshot:
 
     prov = by_kind["p"]
     postmortem = SnapshotPostmortem(
-        instance_data=InstanceColumns(*cols, stacks=stacks, locations=locations),
+        columns=InstanceColumns(*cols, stacks=stacks, locations=locations),
         n_raw=prov["n_raw"],
         n_runtime=prov["n_runtime"],
         n_recovered=prov["n_recovered"],

@@ -18,6 +18,7 @@ from ..errors import ArtifactError
 from .model import (
     ArtifactMeta,
     FunctionCatalog,
+    InstanceColumns,
     ProfileSnapshot,
     SnapshotPostmortem,
 )
@@ -100,7 +101,7 @@ def merge_snapshots(
         catalog = catalog.union(s.catalog)
 
     postmortem = SnapshotPostmortem(
-        instance_data=[i for s in snapshots for i in s.postmortem.instances],
+        columns=InstanceColumns.concat([s.postmortem.columns for s in snapshots]),
         n_raw=sum(s.postmortem.n_raw for s in snapshots),
         n_runtime=sum(s.postmortem.n_runtime for s in snapshots),
         n_recovered=sum(s.postmortem.n_recovered for s in snapshots),

@@ -16,11 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from ..blame.postmortem import Instance, count_paths
+from ..blame.postmortem import FrameTuple, Instance, InstanceColumns
 from ..blame.report import BlameReport
-
-#: A call path or location list: leaf-first ``(name, int)`` pairs.
-FrameTuple = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -85,56 +82,6 @@ class FunctionCatalog:
         )
 
 
-@dataclass(frozen=True)
-class InstanceColumns:
-    """An artifact's instance section as decoded: one list per
-    :class:`~repro.blame.postmortem.Instance` field, with call paths and
-    locations as ids into the decoded stack and location tables.
-
-    :func:`~repro.artifact.format.read_artifact` has checked every id
-    against its table, so :meth:`build` cannot fail.
-    """
-
-    index: list[int]
-    thread_id: list[int]
-    stack_id: list[int]
-    location_id: list[int]
-    glued: list[int]
-    spawn_tag: list[int | None]
-    recovered: list[int]
-    stacks: list[FrameTuple]
-    locations: list[FrameTuple]
-
-    def __len__(self) -> int:
-        return len(self.stack_id)
-
-    def path_counts(self) -> "Counter[FrameTuple]":
-        """:func:`~repro.blame.postmortem.count_paths` of the built
-        instances, read off the stack-id column."""
-        out: Counter[FrameTuple] = Counter()
-        for sid, n in Counter(self.stack_id).items():
-            out[self.stacks[sid]] += n
-        return out
-
-    def build(self) -> list[Instance]:
-        stacks, locations = self.stacks, self.locations
-        return [
-            Instance(
-                index=ix,
-                thread_id=th,
-                frames=stacks[st],
-                locations=locations[lo],
-                was_glued=bool(gl),
-                spawn_tag=tg,
-                was_recovered=bool(rc),
-            )
-            for ix, th, st, lo, gl, tg, rc in zip(
-                self.index, self.thread_id, self.stack_id, self.location_id,
-                self.glued, self.spawn_tag, self.recovered,
-            )
-        ]
-
-
 @dataclass
 class SnapshotPostmortem:
     """Post-mortem outcome as stored in an artifact.
@@ -146,15 +93,16 @@ class SnapshotPostmortem:
     instances, not raw samples (those belong to the sample dataset /
     journal written by ``--save-samples``).
 
-    The views read only :attr:`n_user` and :meth:`path_counts`, which a
-    decoded artifact answers from its columns; :attr:`instances` builds
-    the :class:`~repro.blame.postmortem.Instance` list on first access,
-    for the callers that walk instances (merge, re-encoding, tests).
+    Live and decoded snapshots hold the same
+    :class:`~repro.blame.postmortem.InstanceColumns`: a live one the
+    consumer's, a decoded one the artifact's instance section.  The
+    views read only :attr:`n_user` and :meth:`path_counts`, and the
+    encoder reads the columns; :attr:`instances` builds the
+    :class:`~repro.blame.postmortem.Instance` list on first access, for
+    the callers that walk instances (tests, diagnostics).
     """
 
-    #: The consolidated instances, or an artifact's decoded columns
-    #: until something reads :attr:`instances`.
-    instance_data: "list[Instance] | InstanceColumns"
+    columns: InstanceColumns
     n_raw: int = 0
     n_runtime: int = 0
     n_recovered: int = 0
@@ -162,21 +110,20 @@ class SnapshotPostmortem:
     unknown_provenance: list[tuple[str, int]] = field(default_factory=list)
     #: (reason, sample index) per quarantined sample (ingest + postmortem).
     quarantine_provenance: list[tuple[str, int]] = field(default_factory=list)
+    _built: "list[Instance] | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def instances(self) -> list[Instance]:
-        if isinstance(self.instance_data, InstanceColumns):
-            self.instance_data = self.instance_data.build()
-        return self.instance_data
+        if self._built is None:
+            self._built = self.columns.build()
+        return self._built
 
     @property
     def n_user(self) -> int:
-        return len(self.instance_data)
+        return len(self.columns)
 
     def path_counts(self) -> "Counter[FrameTuple]":
-        if isinstance(self.instance_data, InstanceColumns):
-            return self.instance_data.path_counts()
-        return count_paths(self.instance_data)
+        return self.columns.path_counts()
 
     @property
     def n_unknown(self) -> int:
@@ -330,7 +277,7 @@ def snapshot_from_result(
         report=result.report,
         catalog=FunctionCatalog.from_module(result.module),
         postmortem=SnapshotPostmortem(
-            instance_data=list(pm.instances),
+            columns=pm.columns,
             n_raw=pm.n_raw,
             n_runtime=pm.n_runtime,
             n_recovered=pm.n_recovered,

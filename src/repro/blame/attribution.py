@@ -19,6 +19,7 @@ percentage assigned to all variables can possibly be more than 100%".
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..chapel.types import Type
@@ -126,6 +127,13 @@ class BlameAttributor:
         self.module = static.module
 
     def attribute(self, instances: list[Instance]) -> AttributionResult:
+        return self.attribute_paths(count_paths(instances), len(instances))
+
+    def attribute_paths(
+        self, paths: "Mapping[tuple[tuple[str, int], ...], int]", total: int
+    ) -> AttributionResult:
+        """Blame over ``total`` instances given as their per-path counts
+        (:func:`~repro.blame.postmortem.count_paths`)."""
         rows: dict[tuple[str, str], VariableBlame] = {}
 
         # Attribution depends only on the call path: instances sharing a
@@ -133,10 +141,10 @@ class BlameAttributor:
         # once, weighted by its multiplicity (hot loops produce the same
         # path thousands of times).  Paths keep first-seen order, so
         # rows are created in the same order as per-instance attribution.
-        for frames, n in count_paths(instances).items():
+        for frames, n in paths.items():
             self._attribute_one(frames, rows, set(), n)
 
-        return AttributionResult(rows=rows, total_samples=len(instances))
+        return AttributionResult(rows=rows, total_samples=total)
 
     # -- per call path ------------------------------------------------------
 

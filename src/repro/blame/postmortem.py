@@ -36,8 +36,9 @@ behaves exactly as it always has.
 Consolidation is done **once per distinct call path**: everything the
 first pass derives from a sample's ``(stack, pre_spawn_stack,
 spawn_tag is None)`` key is memoized on the consumer, so a repeat of a
-hot path costs a validation, a dict lookup and an :class:`Instance`
-that shares the first sight's tuples.
+hot path costs a validation, a dict lookup and one row of
+:class:`InstanceColumns` holding the path's id.  :class:`Instance`
+objects are built only for callers that walk them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from ..sampling.monitor import Monitor
 from ..sampling.stackwalk import StackResolver
 
 if TYPE_CHECKING:
@@ -87,6 +87,94 @@ class Instance:
     was_recovered: bool = False
 
 
+#: A call path or location list: leaf-first ``(name, int)`` pairs.
+FrameTuple = tuple[tuple[str, int], ...]
+
+
+@dataclass(frozen=True)
+class InstanceColumns:
+    """Consolidated instances as columns: one list per :class:`Instance`
+    field, with call paths and locations as ids into the ``stacks`` and
+    ``locations`` tables.
+
+    The one instance store.  :class:`PostmortemConsumer` appends one row
+    per user sample, and its path id indexes both tables (its
+    ``stack_id`` and ``location_id`` are one list); a decoded artifact
+    fills it from its instance section, whose ids
+    :func:`~repro.artifact.format.read_artifact` has checked, so
+    :meth:`build` cannot fail.  Two ids may name equal frames (merged
+    snapshots), so readers group by the frames, never by the id.
+    """
+
+    index: list[int]
+    thread_id: list[int]
+    stack_id: list[int]
+    location_id: list[int]
+    glued: list[int]
+    spawn_tag: list[int | None]
+    recovered: list[int]
+    stacks: list[FrameTuple]
+    locations: list[FrameTuple]
+
+    @classmethod
+    def empty(cls) -> "InstanceColumns":
+        """Columns a consumer appends to: one path-id list for both
+        ``stack_id`` and ``location_id``."""
+        path_ids: list[int] = []
+        return cls([], [], path_ids, path_ids, [], [], [], [], [])
+
+    @classmethod
+    def concat(cls, parts: "list[InstanceColumns]") -> "InstanceColumns":
+        """The rows of ``parts`` in order, each part's ids offset past
+        the tables of the parts before it."""
+        out = cls([], [], [], [], [], [], [], [], [])
+        for c in parts:
+            st, lo = len(out.stacks), len(out.locations)
+            out.index.extend(c.index)
+            out.thread_id.extend(c.thread_id)
+            out.stack_id.extend([st + i for i in c.stack_id])
+            out.location_id.extend([lo + i for i in c.location_id])
+            out.glued.extend(c.glued)
+            out.spawn_tag.extend(c.spawn_tag)
+            out.recovered.extend(c.recovered)
+            out.stacks.extend(c.stacks)
+            out.locations.extend(c.locations)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.stack_id)
+
+    def path_counts(self, start: int = 0) -> "Counter[FrameTuple]":
+        """:func:`count_paths` of the instances from row ``start`` on,
+        read off the stack-id column."""
+        ids = self.stack_id[start:] if start else self.stack_id
+        stacks = self.stacks
+        out: Counter[FrameTuple] = Counter()
+        for sid, n in Counter(ids).items():
+            out[stacks[sid]] += n
+        return out
+
+    def build(self, start: int = 0) -> "list[Instance]":
+        """The :class:`Instance` of every row from ``start`` on."""
+        stacks, locations = self.stacks, self.locations
+        return [
+            Instance(
+                index=ix,
+                thread_id=th,
+                frames=stacks[st],
+                locations=locations[lo],
+                was_glued=bool(gl),
+                spawn_tag=tg,
+                was_recovered=bool(rc),
+            )
+            for ix, th, st, lo, gl, tg, rc in zip(
+                self.index[start:], self.thread_id[start:],
+                self.stack_id[start:], self.location_id[start:],
+                self.glued[start:], self.spawn_tag[start:], self.recovered[start:],
+            )
+        ]
+
+
 @dataclass(frozen=True)
 class DegradedSample:
     """A sample that could not be (fully) consolidated, with provenance."""
@@ -95,11 +183,17 @@ class DegradedSample:
     reason: str
 
 
-@dataclass
+@dataclass(eq=False)
 class PostmortemResult:
-    """Outcome of post-mortem processing."""
+    """Outcome of post-mortem processing.
 
-    instances: list[Instance]
+    The consolidated instances are held as :class:`InstanceColumns`;
+    :attr:`instances` builds the :class:`Instance` list on first access,
+    for the callers that walk instances.  Two results are equal when
+    their instances and counts are.
+    """
+
+    columns: InstanceColumns
     n_raw: int
     #: Unattributable samples, by provenance (tolerant mode only).
     unknown: list[DegradedSample] = field(default_factory=list)
@@ -109,13 +203,32 @@ class PostmortemResult:
     n_recovered: int = 0
     #: Idle / pure-runtime samples (counted, not kept).
     n_runtime: int = 0
+    _built: "list[Instance] | None" = field(default=None, init=False, repr=False)
+
+    @property
+    def instances(self) -> list[Instance]:
+        if self._built is None:
+            self._built = self.columns.build()
+        return self._built
 
     @property
     def n_user(self) -> int:
-        return len(self.instances)
+        return len(self.columns)
 
     def path_counts(self) -> "Counter[tuple[tuple[str, int], ...]]":
-        return count_paths(self.instances)
+        return self.columns.path_counts()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PostmortemResult):
+            return NotImplemented
+        return (
+            self.instances == other.instances
+            and self.n_raw == other.n_raw
+            and self.unknown == other.unknown
+            and self.quarantined == other.quarantined
+            and self.n_recovered == other.n_recovered
+            and self.n_runtime == other.n_runtime
+        )
 
     @property
     def n_unknown(self) -> int:
@@ -157,28 +270,33 @@ _HELD = "held"  # degraded: held back as a recovery candidate
 _INTACT = "intact"  # consolidated into an instance
 
 
-@dataclass(frozen=True)
-class _Path:
+class _Path(NamedTuple):
     """The first pass's outcome for one distinct call path.
 
     It reads nothing but the key ``(stack, pre_spawn_stack, spawn_tag
     is None)`` of a validated, non-idle sample, the module and the
     options, so every sample with that key shares it — tuples included.
+    A named tuple, so the per-sample path unpacks it in one step.
     """
 
     outcome: str
-    #: Trimmed user frames, leaf first.
+    #: Intact paths: the id of the trimmed user frames in the
+    #: consumer's columns (-1 otherwise).
+    pid: int = -1
+    #: Intact paths: the ``glued`` and ``recovered`` column values.
+    glued: int = 0
+    repaired: int = 0
+    #: Pre-spawn continuation a tagged sample of this intact, glued
+    #: path teaches the spawn-tag index (tolerant mode only).
+    pre: tuple[tuple[str, int], ...] | None = None
+    #: Held paths: the trimmed user frames, leaf first.
     frames: tuple[tuple[str, int], ...] = ()
     #: Held paths: the walk had raw-address frames (picks the
     #: ``<unknown>`` reason if recovery fails).
     had_stripped: bool = False
-    #: Resolved (file, line) per frame (intact paths only).
-    locations: tuple[tuple[str, int], ...] = ()
-    glued: bool = False
-    repaired: bool = False
-    #: Pre-spawn continuation a tagged sample of this intact, glued
-    #: path teaches the spawn-tag index (tolerant mode only).
-    pre: tuple[tuple[str, int], ...] | None = None
+
+
+_RUNTIME_PATH = _Path(_RUNTIME)
 
 
 class PostmortemConsumer:
@@ -193,8 +311,8 @@ class PostmortemConsumer:
     Memory behaviour:
 
     * intact samples are consolidated and released immediately — only
-      the emitted :class:`Instance` (and the deduplicated recovery
-      evidence derived from it) survives the batch;
+      their row of :class:`InstanceColumns` (and the deduplicated
+      recovery evidence derived from the path) survives the batch;
     * degraded samples wait in a held-back candidate buffer until
       :meth:`finish`, so evidence from anywhere in the run can repair
       them, as in the one-shot semantics;
@@ -217,7 +335,9 @@ class PostmortemConsumer:
         self.tolerant = tolerant
 
         self._resolver = StackResolver(module)
-        self._instances: list[Instance] = []
+        self._columns = InstanceColumns.empty()
+        #: Trimmed user frames → path id (their row in the tables).
+        self._path_ids: dict[FrameTuple, int] = {}
         self._n_runtime = 0
         self._quarantined: list[DegradedSample] = []
         self._unknown: list[DegradedSample] = []
@@ -249,7 +369,7 @@ class PostmortemConsumer:
     def n_consolidated(self) -> int:
         """Instances consolidated so far (grows monotonically; the
         adaptive checkpoints read deltas against this watermark)."""
-        return len(self._instances)
+        return len(self._columns)
 
     @property
     def n_quarantined(self) -> int:
@@ -259,14 +379,64 @@ class PostmortemConsumer:
     def instances_since(self, start: int) -> "list[Instance]":
         """The consolidated instances appended at or after ``start`` —
         the incremental-attribution delta between two checkpoints."""
-        return self._instances[start:]
+        return self._columns.build(start)
+
+    def path_counts_since(self, start: int) -> "Counter[FrameTuple]":
+        """:func:`count_paths` of :meth:`instances_since`, read off the
+        columns."""
+        return self._columns.path_counts(start)
 
     def feed(self, batch: "list[RawSample] | tuple[RawSample, ...]") -> None:
-        """Consumes one batch of raw samples (collection order)."""
+        """Consumes one batch of raw samples (collection order).
+
+        Per sample: an idle one is counted; a malformed one (tolerant
+        mode; the checks of :meth:`~repro.sampling.monitor.Monitor.
+        validate`) is quarantined; any other looks up its path's
+        first-pass outcome, and an intact path appends one row.
+        """
         if self._finished:
             raise RuntimeError("PostmortemConsumer.feed() after finish()")
+        self._n_raw += len(batch)
+        tolerant = self.tolerant
+        paths = self._paths
+        tag_index = self._tag_index
+        cols = self._columns
+        add_index = cols.index.append
+        add_thread = cols.thread_id.append
+        add_path = cols.stack_id.append
+        add_glued = cols.glued.append
+        add_tag = cols.spawn_tag.append
+        add_recovered = cols.recovered.append
+        n_runtime = 0
         for s in batch:
-            self._consume(s)
+            index, thread_id, _task, stack, leaf_iid, tag, pre, idle = s
+            if idle:
+                n_runtime += 1
+                continue
+            if tolerant and (not stack or leaf_iid < 0):
+                self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
+                continue
+            key = (stack, pre, tag is None)
+            path = paths.get(key)
+            if path is None:
+                path = paths[key] = self._first_sight(s)
+            outcome, pid, glued, repaired, learn, _, _ = path
+            if outcome is _INTACT:
+                if learn is not None:
+                    tag_index.setdefault(tag, learn)
+                if repaired:
+                    self._n_repaired += 1
+                add_index(index)
+                add_thread(thread_id)
+                add_path(pid)
+                add_glued(glued)
+                add_tag(tag)
+                add_recovered(repaired)
+            elif outcome is _HELD:
+                self._candidates.append((s, path))
+            else:
+                n_runtime += 1
+        self._n_runtime += n_runtime
 
     def finish(self) -> PostmortemResult:
         """Resolves remaining candidates and returns the result."""
@@ -277,7 +447,7 @@ class PostmortemConsumer:
             self._n_late_recovered += self._resolve_candidate(s, path)
         self._candidates = []
         return PostmortemResult(
-            instances=self._instances,
+            columns=self._columns,
             n_raw=self._n_raw,
             unknown=self._unknown,
             quarantined=self._quarantined,
@@ -285,40 +455,18 @@ class PostmortemConsumer:
             n_runtime=self._n_runtime,
         )
 
-    # -- first pass: per sample, consolidated once per distinct path ---------
+    # -- first pass: consolidated once per distinct path ---------------------
 
-    def _consume(self, s: RawSample) -> None:
-        self._n_raw += 1
-        if s.is_idle:
-            self._n_runtime += 1
-            return
-        if self.tolerant and Monitor.validate(s) is not None:
-            self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
-            return
-        key = (s.stack, s.pre_spawn_stack, s.spawn_tag is None)
-        path = self._paths.get(key)
-        if path is None:
-            path = self._paths[key] = self._first_sight(s)
-        if path.outcome is _INTACT:
-            if path.pre is not None:
-                self._tag_index.setdefault(s.spawn_tag, path.pre)
-            if path.repaired:
-                self._n_repaired += 1
-            self._instances.append(
-                Instance(
-                    index=s.index,
-                    thread_id=s.thread_id,
-                    frames=path.frames,
-                    locations=path.locations,
-                    was_glued=path.glued,
-                    spawn_tag=s.spawn_tag,
-                    was_recovered=path.repaired,
-                )
-            )
-        elif path.outcome is _HELD:
-            self._candidates.append((s, path))
-        else:
-            self._n_runtime += 1
+    def _path_id(self, frames: FrameTuple) -> int:
+        """The id of ``frames`` in the columns' tables, adding them (and
+        their resolved locations) on first sight."""
+        pid = self._path_ids.get(frames)
+        if pid is None:
+            cols = self._columns
+            pid = self._path_ids[frames] = len(cols.stacks)
+            cols.stacks.append(frames)
+            cols.locations.append(self._locations(frames))
+        return pid
 
     def _first_sight(self, s: RawSample) -> _Path:
         """Consolidates the call path of ``s``, seen for the first time.
@@ -359,10 +507,10 @@ class PostmortemConsumer:
             # whatever still has no user frame is runtime-only.
             if had_stripped:
                 return _Path(_HELD, had_stripped=True)
-            return _Path(_RUNTIME)
+            return _RUNTIME_PATH
 
         if self.tolerant and not _is_complete(self.module, user_frames):
-            return _Path(_HELD, user_frames, had_stripped)
+            return _Path(_HELD, frames=user_frames, had_stripped=had_stripped)
 
         pre = None
         if self.tolerant and glued:
@@ -378,10 +526,9 @@ class PostmortemConsumer:
             self._index_evidence(user_frames, glued)
         return _Path(
             _INTACT,
-            user_frames,
-            locations=self._locations(user_frames),
-            glued=glued,
-            repaired=repaired,
+            self._path_id(user_frames),
+            glued=1 if glued else 0,
+            repaired=1 if repaired else 0,
             pre=pre,
         )
 
@@ -458,17 +605,13 @@ class PostmortemConsumer:
                 f for f in continuation if _is_user_frame(self.module, f[0])
             )
             if _is_complete(self.module, frames):
-                self._instances.append(
-                    Instance(
-                        index=s.index,
-                        thread_id=s.thread_id,
-                        frames=frames,
-                        locations=self._locations(frames),
-                        was_glued=True,
-                        spawn_tag=s.spawn_tag,
-                        was_recovered=True,
-                    )
-                )
+                cols = self._columns
+                cols.index.append(s.index)
+                cols.thread_id.append(s.thread_id)
+                cols.stack_id.append(self._path_id(frames))
+                cols.glued.append(1)
+                cols.spawn_tag.append(s.spawn_tag)
+                cols.recovered.append(1)
                 return 1
         self._unknown.append(DegradedSample(s, reason))
         return 0

@@ -139,8 +139,9 @@ def postmortem_stage(
 def attribute_stage(
     static_info: ModuleBlameInfo, pm: PostmortemResult
 ) -> AttributionResult:
-    """Step 3b — blame accumulation over the consolidated instances."""
-    return BlameAttributor(static_info).attribute(pm.instances)
+    """Step 3b — blame accumulation over the consolidated instances,
+    once per distinct call path."""
+    return BlameAttributor(static_info).attribute_paths(pm.path_counts(), pm.n_user)
 
 
 def aggregate_stage(

@@ -252,9 +252,7 @@ class FaultyMonitor(Monitor):
         super().__init__(pmu=base.pmu, charge_overhead=base.charge_overhead)
         self.injector = injector
         self._rng = random.Random(f"{injector.plan.seed}:stream")
+        self._degrade = self._degrade_one
 
-    def _ingest(self, sample: RawSample) -> None:
-        degraded = self.injector._degrade_one(sample, self._rng)
-        if degraded is None:
-            return
-        super()._ingest(degraded)
+    def _degrade_one(self, sample: RawSample) -> RawSample | None:
+        return self.injector._degrade_one(sample, self._rng)

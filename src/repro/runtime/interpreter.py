@@ -194,6 +194,8 @@ class Interpreter:
         self._penalties: dict[str, float] = {}
         self._spawn_records: dict[int, SpawnRecord] = {}
         self._pending_entry: list[Function] = []
+        #: The stack of every idle sample: one tuple, shared by all.
+        self._idle_stack = ((SCHED_YIELD, -1),)
 
         self._dispatch = {
             I.Alloca: self._ex_alloca,
@@ -305,7 +307,11 @@ class Interpreter:
         idle_cost = self.cost_model.idle_quantum
         threshold = self.sample_threshold
         sampling = threshold is not None and self.monitor is not None
-        overflow = self._pmu_overflow
+        if sampling:
+            take = self.monitor.take_sample
+            idle_stack = self._idle_stack
+        else:
+            threshold = None
         while main_task.state != "done":
             thread = pick_thread()
             if thread.task is None:
@@ -324,16 +330,20 @@ class Interpreter:
                     thread.task = task
                 elif sched.any_running:
                     # Idle stretch: the queue is empty and nothing can
-                    # enqueue work until a busy thread runs, so tick the
-                    # min-clock idle threads until a busy thread is min.
-                    for thread in sched.idle_stretch():
-                        thread.clock += idle_cost
-                        thread.idle_cycles += idle_cost
-                        if sampling:
-                            pmu = thread.pmu_counter + idle_cost
-                            thread.pmu_counter = pmu
-                            if pmu >= threshold:
-                                overflow(thread, True)
+                    # enqueue work until a busy thread runs, so the idle
+                    # threads tick until a busy thread is min; each
+                    # thread a tick made samples due for is handed back
+                    # (_pmu_overflow's idle branch, inline).
+                    stretch = sched.idle_stretch(idle_cost, threshold)
+                    try:
+                        for thread in stretch:
+                            pmu = thread.pmu_counter
+                            while pmu >= threshold:
+                                pmu -= threshold
+                                thread.pmu_counter = pmu
+                                take(thread, None, idle_stack, -1)
+                    finally:
+                        stretch.close()
                     thread = pick_thread()
                 else:
                     raise RuntimeError_(
@@ -399,7 +409,7 @@ class Interpreter:
         while thread.pmu_counter >= self.sample_threshold:
             thread.pmu_counter -= self.sample_threshold
             if idle or thread.task is None:
-                self.monitor.take_sample(thread, None, [(SCHED_YIELD, -1)], -1)
+                self.monitor.take_sample(thread, None, self._idle_stack, -1)
             elif self.skid <= 0:
                 task = thread.task
                 stack = task.stack_walk()
@@ -969,7 +979,7 @@ class Interpreter:
         # stack, so post-mortem gluing (paper §IV.C) always reaches main.
         pre_stack = task.stack_walk()
         if task.spawn is not None and not task.is_main:
-            pre_stack = pre_stack + list(task.spawn.pre_spawn_stack)
+            pre_stack = pre_stack + task.spawn.pre_spawn_stack
         record = SpawnRecord(
             tag=tag,
             kind=instr.kind,

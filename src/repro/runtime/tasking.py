@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from heapq import heapify, heapreplace
+from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from operator import attrgetter
 
 from ..ir.module import BasicBlock, Function
@@ -41,7 +41,7 @@ SCHED_YIELD = "__sched_yield"
 class Frame:
     """One activation record of the interpreter."""
 
-    __slots__ = ("function", "block", "index", "regs", "caller", "call_iid", "penalty")
+    __slots__ = ("function", "block", "index", "regs", "caller", "call_iid", "penalty", "ctx")
 
     def __init__(self, function: Function, caller: "Frame | None", call_iid: int | None) -> None:
         self.function = function
@@ -54,6 +54,31 @@ class Frame:
         #: the stack walker reports for non-leaf frames).
         self.call_iid = call_iid
         self.penalty = 1.0  # icache multiplier, set by the interpreter
+        #: Calling context (see :meth:`context`): ``()`` for a root
+        #: frame, None until a stack walk first needs it.
+        self.ctx: tuple[tuple[str, int], ...] | None = () if caller is None else None
+
+    def context(self) -> tuple[tuple[str, int], ...]:
+        """The walk below this frame, leaf first: each caller's (function,
+        call-site iid).  A frame's callers and their call sites are fixed
+        while it lives, so the tuple is built on the first walk that
+        needs it and kept; every later sample in the frame's lifetime is
+        one concatenation, whatever the depth.
+
+        The walk stops at the nearest caller that already has its
+        context and keeps the result on this frame alone: a call pays
+        nothing until it is sampled, and a deep recursion holds one
+        tuple per sampled frame, not one per frame."""
+        ctx = self.ctx
+        if ctx is None:
+            walk = []
+            frame = self
+            while frame.ctx is None:
+                caller = frame.caller
+                walk.append((caller.function.name, frame.call_iid))
+                frame = caller
+            ctx = self.ctx = tuple(walk) + frame.ctx
+        return ctx
 
 
 @dataclass
@@ -62,7 +87,9 @@ class SpawnRecord:
 
     tag: int
     kind: str  # forall | coforall
-    pre_spawn_stack: list[tuple[str, int]]  # leaf-first (func, iid)
+    #: Leaf-first (func, iid), glued through every enclosing spawn; the
+    #: samples of all the spawn's workers share this one tuple.
+    pre_spawn_stack: tuple[tuple[str, int], ...]
     n_tasks: int
     completed: int = 0
     #: Task blocked at the join (the spawner).
@@ -102,23 +129,20 @@ class Task:
         #: a migrating task carries its time with it.
         self.last_clock = 0.0
 
-    def stack_walk(self) -> list[tuple[str, int]]:
+    def stack_walk(self) -> tuple[tuple[str, int], ...]:
         """Leaf-first (function name, iid) pairs — what the Dyninst-style
         monitor records per sample.  The leaf frame reports its current
         instruction; each caller frame reports the call site (its
-        "return address")."""
-        out: list[tuple[str, int]] = []
+        "return address"), which the frame's calling context holds."""
         frame = self.frame
         if frame is None:
-            return out
-        block = frame.block
-        idx = min(frame.index, len(block.instructions) - 1)
-        out.append((frame.function.name, block.instructions[idx].iid))
-        while frame.caller is not None:
-            assert frame.call_iid is not None
-            out.append((frame.caller.function.name, frame.call_iid))
-            frame = frame.caller
-        return out
+            return ()
+        instrs = frame.block.instructions
+        leaf = instrs[min(frame.index, len(instrs) - 1)].iid
+        ctx = frame.ctx
+        if ctx is None:
+            ctx = frame.context()
+        return ((frame.function.name, leaf),) + ctx
 
 
 class WorkerThread:
@@ -177,30 +201,101 @@ class Scheduler:
         """
         return min(self.threads, key=self._clock_key)
 
-    def idle_stretch(self) -> Iterator[WorkerThread]:
-        """Yields what :meth:`pick_thread` would pick, one idle tick at a
-        time, while an idle thread is the minimum.  The caller advances
-        each yielded thread's clock before asking for the next; the
-        stretch ends when a busy thread is the minimum.
+    def idle_stretch(self, cost: float, threshold: float | None) -> Iterator[WorkerThread]:
+        """Ticks the idle threads, ``cost`` cycles (the cost model's idle
+        quantum, always positive) at a time, until a busy thread holds
+        the minimum ``(clock, thread_id)``: the ticks a loop of
+        :meth:`pick_thread` calls would make.  Each tick adds ``cost`` to
+        the thread's clock and idle cycles and, when the caller samples
+        (``threshold`` not None), to its PMU counter.  Yields each idle
+        thread whose tick brought its PMU counter to ``threshold``, in
+        the order that loop reaches those ticks; the caller takes the
+        due samples (which may charge the thread's clock) before asking
+        for the next.  The caller owns both values; the scheduler keeps
+        neither.
 
         Only idle threads tick, so busy clocks are fixed for the whole
-        stretch: the idle threads wait in a heap keyed ``(clock,
-        thread_id)`` like ``pick_thread``, and each pick costs one
-        ``heapreplace`` instead of a ``min`` over every thread.
+        stretch, and an idle thread's ticks depend on nothing but its
+        own clock, PMU counter and samples.  Each thread therefore
+        ticks alone, in a tight loop, up to its next due sample or the
+        stop; only the ticks that sample are ordered, in a heap keyed
+        ``(clock at the tick's start, thread_id)`` — the key
+        ``pick_thread`` orders every tick by.
+
+        A caller that stops inside the stretch (a sink raising
+        ``StopSampling``) closes the generator: every other idle thread
+        is then put back where the tick-by-tick loop would have left
+        it, at the interrupted tick.
         """
+        if not cost > 0:
+            # A tick that adds nothing would never reach the stop.
+            raise ValueError(f"idle ticks need a positive cost, not {cost!r}")
         threads = self.threads
         busy = min(
             (t for t in threads if t.task is not None), key=self._clock_key
         )
-        # A thread_id never repeats, so comparisons stop before the
-        # thread objects.
-        stop = (busy.clock, busy.thread_id)
-        heap = [(t.clock, t.thread_id, t) for t in threads if t.task is None]
+        stop_clock, stop_id = busy.clock, busy.thread_id
+        idle = [t for t in threads if t.task is None]
+        if threshold is None:
+            for t in idle:
+                clock, cycles, tid = t.clock, t.idle_cycles, t.thread_id
+                while clock < stop_clock or (clock == stop_clock and tid < stop_id):
+                    clock += cost
+                    cycles += cost
+                t.clock = clock
+                t.idle_cycles = cycles
+            return
+        #: thread id → (clock, idle cycles, PMU counter) before its
+        #: current run of ticks.
+        before: dict[int, tuple[float, float, float]] = {}
+
+        def run(t: WorkerThread) -> "tuple | None":
+            """Ticks ``t`` to its next due sample: the heap entry of
+            that tick, or None when ``t`` reached the stop first."""
+            clock, cycles, pmu, tid = t.clock, t.idle_cycles, t.pmu_counter, t.thread_id
+            before[tid] = (clock, cycles, pmu)
+            entry = None
+            while clock < stop_clock or (clock == stop_clock and tid < stop_id):
+                start = clock
+                clock += cost
+                cycles += cost
+                pmu += cost
+                if pmu >= threshold:
+                    # A thread_id never repeats, so comparisons stop
+                    # before the thread objects.
+                    entry = (start, tid, t)
+                    break
+            t.clock = clock
+            t.idle_cycles = cycles
+            t.pmu_counter = pmu
+            return entry
+
+        heap = [entry for entry in map(run, idle) if entry is not None]
         heapify(heap)
-        while heap[0] < stop:
-            thread = heap[0][2]
-            yield thread
-            heapreplace(heap, (thread.clock, thread.thread_id, thread))
+        try:
+            while heap:
+                t = heap[0][2]
+                yield t
+                entry = run(t)
+                if entry is None:
+                    heappop(heap)
+                else:
+                    heapreplace(heap, entry)
+        except GeneratorExit:
+            key_clock, key_id, stopped = heap[0]
+            for t in idle:
+                if t is stopped:
+                    continue
+                clock, cycles, pmu = before[t.thread_id]
+                tid = t.thread_id
+                while clock < key_clock or (clock == key_clock and tid < key_id):
+                    clock += cost
+                    cycles += cost
+                    pmu += cost
+                t.clock = clock
+                t.idle_cycles = cycles
+                t.pmu_counter = pmu
+            raise
 
     @property
     def any_running(self) -> bool:

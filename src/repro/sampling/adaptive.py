@@ -228,11 +228,13 @@ class AdaptiveController:
         return self.consumer.n_quarantined + self.consumer.pending_candidates
 
     def _attribute_delta(self) -> None:
-        new = self.consumer.instances_since(self._n_attributed)
+        start = self._n_attributed
         self._n_attributed = self.consumer.n_consolidated
-        if not new and self._attribution is not None:
+        if start == self._n_attributed and self._attribution is not None:
             return
-        delta = self.attributor.attribute(new)
+        delta = self.attributor.attribute_paths(
+            self.consumer.path_counts_since(start), self._n_attributed - start
+        )
         if self._attribution is None:
             self._attribution = delta
         else:

@@ -1,10 +1,12 @@
 """The monitoring process — our stand-in for running under Dyninst.
 
 The interpreter delivers every PMU overflow here; the monitor performs
-the "stack walk" (the interpreter already materialized it — we charge
-its cost to the sampled thread, which is the measured tool overhead the
-paper reports: 0.051 ms/walk against a 241 ms interval ≈ 0.02 %), looks
-up the worker task's spawn record, and appends a :class:`RawSample`.
+the "stack walk" (the interpreter already materialized it, from the
+sampled frame's calling context — we charge its cost to the sampled
+thread, which is the measured tool overhead the paper reports: 0.051
+ms/walk against a 241 ms interval ≈ 0.02 %), looks up the worker task's
+spawn record, whose glued pre-spawn stack every worker sample shares,
+and appends a :class:`RawSample`.
 
 Malformed payloads (an empty walk, a negative instruction id on a
 non-idle sample) are rejected at ingest and quarantined with a reason,
@@ -22,6 +24,11 @@ from .records import RawSample
 
 #: Simulated cost of one stack walk, charged to the sampled thread.
 STACKWALK_CYCLES = 40.0
+
+#: ``_new_record(RawSample, fields)`` builds a record from a tuple of
+#: all its fields in one C call, skipping the keyword-handling
+#: ``RawSample.__new__``.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -100,58 +107,65 @@ class Monitor:
         self.peak_resident = 0
         self._batch: list[RawSample] = []
         self._dataset_bytes = 0
+        #: Rewrites each record before validation (None: keep it as
+        #: built); a rewrite to None drops the sample.  Fault injection
+        #: (:class:`~repro.resilience.inject.FaultyMonitor`) sets it.
+        self._degrade = None
 
     def take_sample(self, thread, task, stack, leaf_iid: int) -> None:
-        """Called by the interpreter on PMU overflow."""
-        spawn_tag = None
-        pre_spawn = None
-        task_id = -1
-        is_idle = task is None
-        if task is not None:
-            task_id = task.task_id
-            if task.spawn is not None and not task.is_main:
-                spawn_tag = task.spawn.tag
-                pre_spawn = tuple(task.spawn.pre_spawn_stack)
-        self._ingest(
-            RawSample(
-                index=self.n_accepted,
-                thread_id=thread.thread_id,
-                task_id=task_id,
-                stack=tuple(stack),
-                leaf_iid=leaf_iid,
-                spawn_tag=spawn_tag,
-                pre_spawn_stack=pre_spawn,
-                is_idle=is_idle,
+        """Called by the interpreter on PMU overflow, once per sample:
+        builds the record positionally (an idle sample, ``task`` None,
+        skips the spawn lookups), validates it as :meth:`validate` does
+        and stores it."""
+        if task is None:
+            sample = _new_record(
+                RawSample,
+                (self.n_accepted, thread.thread_id, -1, tuple(stack), leaf_iid, None, None, True),
             )
-        )
+        else:
+            spawn = task.spawn
+            if spawn is None or task.is_main:
+                tag = pre = None
+            else:
+                tag = spawn.tag
+                pre = spawn.pre_spawn_stack
+            sample = _new_record(
+                RawSample,
+                (self.n_accepted, thread.thread_id, task.task_id, tuple(stack), leaf_iid,
+                 tag, pre, False),
+            )
+        if self._degrade is not None:
+            sample = self._degrade(sample)
+        if sample is None:
+            pass  # dropped on the way in: never lands
+        elif not sample.is_idle and (not sample.stack or sample.leaf_iid < 0):
+            self.quarantined.append(QuarantinedSample(self.validate(sample), sample))
+        else:
+            self.n_accepted += 1
+            self._dataset_bytes += 8 + 8 * len(sample.stack)
+            if self.sink is None:
+                self.samples.append(sample)
+            else:
+                batch = self._batch
+                batch.append(sample)
+                if len(batch) >= self.batch_size:
+                    self.flush()
         # The walk happened regardless of whether the record survived
         # validation, so its cost is charged either way.
-        self.overhead.n_samples += 1
+        overhead = self.overhead
+        overhead.n_samples += 1
         if self.charge_overhead:
             thread.clock += STACKWALK_CYCLES
-            self.overhead.stackwalk_cycles_total += STACKWALK_CYCLES
-
-    def _ingest(self, sample: RawSample) -> None:
-        """Validates and stores one sample (injection wrappers hook here)."""
-        reason = self.validate(sample)
-        if reason is not None:
-            self.quarantined.append(QuarantinedSample(reason, sample))
-            return
-        self.n_accepted += 1
-        self._dataset_bytes += 8 + 8 * len(sample.stack)
-        if self.sink is None:
-            self.samples.append(sample)
-            return
-        self._batch.append(sample)
-        if len(self._batch) > self.peak_resident:
-            self.peak_resident = len(self._batch)
-        if len(self._batch) >= self.batch_size:
-            self.flush()
+            overhead.stackwalk_cycles_total += STACKWALK_CYCLES
 
     def flush(self) -> None:
         """Delivers any buffered partial batch to the sink (sink mode)."""
         if self.sink is not None and self._batch:
             batch, self._batch = self._batch, []
+            # A batch only grows until it is delivered, so its size here
+            # is the high-water mark since the last delivery.
+            if len(batch) > self.peak_resident:
+                self.peak_resident = len(batch)
             self.sink(batch)
 
     @staticmethod

@@ -8,12 +8,17 @@ pre-spawn stack that post-mortem gluing needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RawSample:
-    """One PMU-overflow sample."""
+class RawSample(NamedTuple):
+    """One PMU-overflow sample.
+
+    A named tuple: immutable, hashed and compared by value like a frozen
+    record, and built in one C call (the monitor builds one per sample,
+    positionally, with ``tuple.__new__``).  Derive a changed copy with
+    ``_replace``.
+    """
 
     index: int
     thread_id: int

@@ -54,8 +54,7 @@ E2E_INPUTS = os.path.join(HERE, os.pardir, os.pardir, "benchmarks", "e2e", "inpu
 #: Programs on the lowering's scoping and typing decisions: locals that
 #: shadow a global or an outer local in blocks, loops, unrolled ``param``
 #: bodies, iterator consumers and ``select`` arms, with the outer name
-#: used again after; a ``config`` redeclared with another type after a
-#: use; an iterator whose yields sit in scopes that type one consumer
+#: used again after; an iterator whose yields sit in scopes that type one consumer
 #: expression differently (an array in one, a tuple in the other); an
 #: iterator formal that the consumer body sees; ``**`` on ``real(32)``,
 #: which promotes to ``real``; and locals, and a misplaced ``config``,
@@ -65,7 +64,6 @@ SCOPING = [
 var x = 1.5;
 config const n = 2;
 var a = n + 1;
-config const n = 2.5;
 var b = n * 2.0;
 iter pairs(w: int): int { yield w; yield w + 1; }
 proc main() {
@@ -136,6 +134,22 @@ NAMED = SCOPING + PROGRAMS
 @pytest.mark.parametrize("name,source", NAMED, ids=[n for n, _ in NAMED])
 def test_programs_match_reference(name, source):
     assert frontend_mismatches(source, f"{name}.chpl") == []
+
+
+def test_duplicate_config_is_a_located_error(tmp_path, monkeypatch, capsys):
+    # A config name is declared once, like any global (the reference
+    # lowering let a second `config` replace the first).
+    from repro.tooling.cli import main as cli_main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.chpl").write_text(
+        "config const n = 2;\nvar a = n + 1;\nconfig const n = 2.5;\n"
+        "proc main() { writeln(a, n); }\n"
+    )
+    assert cli_main(["profile", "dup.chpl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["repro-profile: dup.chpl:3:8: duplicate global 'n'"]
 
 
 def _test_strings() -> list[str]:

@@ -9,7 +9,6 @@ degraded stream, and duplicate (wrapped-around) spawn tags.
 
 import os
 import sys
-from dataclasses import replace
 
 from repro.blame.postmortem import (
     REASON_LOST_TAG,
@@ -52,7 +51,7 @@ class TestMissingSpawnRecord:
         # body pin down a unique pre-spawn stack.
         module, options, busy = _run()
         victim = _spawned(busy)[0]
-        degraded = replace(victim, spawn_tag=None, pre_spawn_stack=None)
+        degraded = victim._replace(spawn_tag=None, pre_spawn_stack=None)
         pm = process_samples(
             module, busy + [degraded], options=options, tolerant=True
         )
@@ -65,7 +64,7 @@ class TestMissingSpawnRecord:
         # glue against, so the sample is explicitly unattributable.
         module, options, busy = _run()
         victim = _spawned(busy)[0]
-        degraded = replace(victim, spawn_tag=None, pre_spawn_stack=None)
+        degraded = victim._replace(spawn_tag=None, pre_spawn_stack=None)
         pm = process_samples(module, [degraded], options=options, tolerant=True)
         assert pm.n_user == 0
         assert [d.reason for d in pm.unknown] == [REASON_LOST_TAG]
@@ -79,10 +78,8 @@ class TestMissingSpawnRecord:
         b = _spawned(busy, "forall_fn_chpl2")[0]
         # Forge a second spawn context for chpl1: same worker stack,
         # different (real, complete) pre-spawn path via `other`.
-        forged = replace(
-            a, spawn_tag=777, pre_spawn_stack=b.pre_spawn_stack
-        )
-        degraded = replace(a, spawn_tag=None, pre_spawn_stack=None)
+        forged = a._replace(spawn_tag=777, pre_spawn_stack=b.pre_spawn_stack)
+        degraded = a._replace(spawn_tag=None, pre_spawn_stack=None)
         pm = process_samples(
             module, [a, forged, degraded], options=options, tolerant=True
         )
@@ -98,7 +95,7 @@ class TestTruncatedContinuations:
         main_task = [s for s in busy if s.spawn_tag is None and len(s.stack) >= 2]
         assert main_task
         victim = main_task[0]
-        degraded = replace(victim, stack=victim.stack[:-1])
+        degraded = victim._replace(stack=victim.stack[:-1])
         pm = process_samples(
             module, busy + [degraded], options=options, tolerant=True
         )
@@ -122,7 +119,7 @@ class TestTruncatedContinuations:
             spawn_tag=None,
             pre_spawn_stack=None,
         )
-        degraded = replace(victim, index=9001, stack=(deepest,))
+        degraded = victim._replace(index=9001, stack=(deepest,))
         pm = process_samples(
             module, [victim, alt, degraded], options=options, tolerant=True
         )
@@ -139,9 +136,7 @@ class TestIdleAndDuplicateTags:
                       None, None, is_idle=True)
             for i in range(8)
         ]
-        degraded = replace(
-            _spawned(busy)[0], spawn_tag=None, pre_spawn_stack=None
-        )
+        degraded = _spawned(busy)[0]._replace(spawn_tag=None, pre_spawn_stack=None)
         pm = process_samples(
             module, idle + busy + [degraded], options=options, tolerant=True
         )
@@ -156,9 +151,9 @@ class TestIdleAndDuplicateTags:
         module, options, busy = _run()
         a = _spawned(busy, "forall_fn_chpl1")[0]
         b = _spawned(busy, "forall_fn_chpl2")[0]
-        a2 = replace(a, spawn_tag=42)
-        b2 = replace(b, spawn_tag=42)
-        degraded = replace(a, index=9100, spawn_tag=42, pre_spawn_stack=None)
+        a2 = a._replace(spawn_tag=42)
+        b2 = b._replace(spawn_tag=42)
+        degraded = a._replace(index=9100, spawn_tag=42, pre_spawn_stack=None)
         stream = [a2, b2, degraded]
         runs = [
             process_samples(module, stream, options=options, tolerant=True)

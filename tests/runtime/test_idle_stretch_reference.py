@@ -164,10 +164,10 @@ def stretch_probe(monkeypatch):
     state = {"open": False, "stretches": 0}
     original = Scheduler.idle_stretch
 
-    def probed(self):
+    def probed(self, *args):
         state["open"] = True
         state["stretches"] += 1
-        yield from original(self)
+        yield from original(self, *args)
         state["open"] = False
 
     monkeypatch.setattr(Scheduler, "idle_stretch", probed)

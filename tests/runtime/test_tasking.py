@@ -5,7 +5,9 @@ import pytest
 
 from repro.runtime.tasking import (
     SCHED_YIELD,
+    Frame,
     Scheduler,
+    Task,
     chunk_iteration_space,
 )
 from repro.runtime.values import ArrayChunk, ArrayValue, DomainChunk, DomainValue, RangeValue, RuntimeError_
@@ -84,6 +86,35 @@ class TestScheduler:
         assert s.pick_thread() is s.threads[1]  # ties broken by id
 
 
+class TestIdleStretch:
+    def stalled(self):
+        sched = Scheduler(2)
+        sched.threads[1].task = Task(None)  # busy, at clock 0
+        return sched
+
+    @pytest.mark.parametrize("threshold", [None, 100.0])
+    def test_idle_threads_tick_past_the_busy_minimum(self, threshold):
+        sched = self.stalled()
+        sched.threads[1].clock = 95.0
+        due = list(sched.idle_stretch(30.0, threshold))
+        idle = sched.threads[0]
+        assert (idle.clock, idle.idle_cycles) == (120.0, 120.0)
+        assert sched.pick_thread() is sched.threads[1]
+        # With a threshold the PMU counter counts the ticks, and the
+        # tick that reached it is handed back.
+        if threshold is None:
+            assert due == [] and idle.pmu_counter == 0.0
+        else:
+            assert due == [idle] and idle.pmu_counter == 120.0
+
+    @pytest.mark.parametrize("cost", [0, 0.0, -30.0])
+    def test_a_tick_must_cost_something(self, cost):
+        # The idle thread sorts first (thread 0, clock 0): a free tick
+        # would spin forever.
+        with pytest.raises(ValueError, match="positive cost"):
+            list(self.stalled().idle_stretch(cost, None))
+
+
 class TestRunScopedTaskIds:
     def test_fresh_scheduler_starts_at_zero(self):
         s = Scheduler(num_threads=2)
@@ -101,6 +132,57 @@ class TestRunScopedTaskIds:
         _, first = sample_src(src, num_threads=4, threshold=997)
         _, second = sample_src(src, num_threads=4, threshold=997)
         assert first == second
+
+
+class TestCallingContext:
+    """A frame's calling context is built on the first stack walk that
+    needs it, kept on that frame alone, and equals the frame walk."""
+
+    def chain(self, depth):
+        module = compile_src(
+            "proc f(n: int): int { return n; }\nproc main() { writeln(f(1)); }"
+        )
+        main, f = module.get_function("main"), module.get_function("f")
+        frames = [Frame(main, None, None)]
+        for k in range(depth):
+            frames.append(Frame(f, frames[-1], 1000 + k))
+        return frames
+
+    @staticmethod
+    def walk(frame):
+        out = []
+        while frame.caller is not None:
+            out.append((frame.caller.function.name, frame.call_iid))
+            frame = frame.caller
+        return tuple(out)
+
+    def test_a_call_builds_no_context(self):
+        frames = self.chain(50)
+        assert frames[0].ctx == ()
+        assert all(fr.ctx is None for fr in frames[1:])
+
+    def test_context_is_the_walk_and_is_kept_on_the_frame_alone(self):
+        frames = self.chain(50)
+        leaf = frames[-1]
+        ctx = leaf.context()
+        assert ctx == self.walk(leaf) and len(ctx) == 50
+        assert leaf.ctx is ctx and leaf.context() is ctx
+        assert all(fr.ctx is None for fr in frames[1:-1])
+        # A deeper frame's walk stops at the nearest kept context.
+        deeper = Frame(leaf.function, leaf, 7)
+        assert deeper.context() == ((leaf.function.name, 7),) + ctx
+        assert deeper.ctx[1:] == ctx
+        mid = frames[20]
+        assert mid.context() == self.walk(mid)
+
+    def test_stack_walk_is_leaf_plus_context(self):
+        frames = self.chain(3)
+        leaf = frames[-1]
+        task = Task(leaf)
+        stack = task.stack_walk()
+        assert stack[0] == (leaf.function.name, leaf.block.instructions[0].iid)
+        assert stack[1:] == self.walk(leaf)
+        assert Task(None).stack_walk() == ()
 
 
 class TestSpawnInstrumentation:

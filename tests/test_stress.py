@@ -42,6 +42,40 @@ proc main() { writeln(depth(300)); }
 """
         assert output_of(src) == ["300"]
 
+    @pytest.mark.parametrize("threshold", [None, 99991])
+    def test_deep_recursion_memory_grows_linearly(self, threshold):
+        # A call must not copy its caller's calling context: that would
+        # hold depth**2 / 2 entries at the bottom of a recursion.  A
+        # sampled frame keeps its context, as a sample keeps its stack,
+        # so the sampled run samples rarely.
+        import tracemalloc
+
+        from repro.runtime.interpreter import Interpreter
+        from repro.sampling.monitor import Monitor
+
+        src = """
+proc depth(n: int): int {
+  if n == 0 then return 0;
+  return depth(n - 1) + 1;
+}
+proc main() { writeln(depth(N)); }
+"""
+        peaks = {}
+        for n in (1000, 4000):
+            module = compile_src(src.replace("N", str(n)))
+            monitor = None if threshold is None else Monitor(sink=lambda batch: None)
+            interp = Interpreter(module, num_threads=1, monitor=monitor,
+                                 sample_threshold=threshold)
+            tracemalloc.start()
+            try:
+                result = interp.run()
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.output == [str(n)]
+        # Linear growth is 4x; a context copied at every call is 14x.
+        assert peaks[4000] < 6 * peaks[1000], peaks
+
     def test_wide_record(self):
         fields = "\n".join(f"  var f{k}: real;" for k in range(24))
         src = f"""
