@@ -32,6 +32,17 @@ _EXPORTS = {
 __all__ = [*_EXPORTS, "__version__"]
 
 
+def tool_version() -> str:
+    """The version ``--version`` prints and artifacts record in
+    ``created_by``: the installed distribution's, else ``__version__``."""
+    try:
+        from importlib.metadata import version
+
+        return version("repro")
+    except Exception:  # not installed (src checkout on PYTHONPATH)
+        return __version__
+
+
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,6 @@ from .model import (
     CatalogFunction,
     FunctionCatalog,
     ProfileSnapshot,
-    SnapshotPostmortem,
     canonicalize_timings,
     snapshot_from_result,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "DiffRow",
     "FunctionCatalog",
     "ProfileSnapshot",
-    "SnapshotPostmortem",
     "artifact_bytes",
     "canonicalize_timings",
     "diff_reports",

@@ -37,18 +37,11 @@ closed-world.
 
 from __future__ import annotations
 
+from ..blame.postmortem import FrameTuple, InstanceColumns, PostmortemResult
 from ..blame.report import BlameReport, BlameRow, RunStats
 from ..errors import ArtifactError, ArtifactVersionError, DatasetCorruptError
 from ..sampling.dataset import check_line, crc_line
-from .model import (
-    ArtifactMeta,
-    CatalogFunction,
-    FrameTuple,
-    FunctionCatalog,
-    InstanceColumns,
-    ProfileSnapshot,
-    SnapshotPostmortem,
-)
+from .model import ArtifactMeta, CatalogFunction, FunctionCatalog, ProfileSnapshot
 
 CBP_MAGIC = "cbp"
 CBP_VERSION = 1
@@ -137,8 +130,8 @@ def _encode(snapshot: ProfileSnapshot) -> list[str]:
         "n_raw": pm.n_raw,
         "n_runtime": pm.n_runtime,
         "n_recovered": pm.n_recovered,
-        "u": [[strings.add(r), ix] for r, ix in pm.unknown_provenance],
-        "q": [[strings.add(r), ix] for r, ix in pm.quarantine_provenance],
+        "u": [[strings.add(r), ix] for r, ix in pm.unknown],
+        "q": [[strings.add(r), ix] for r, ix in pm.quarantined],
     }
 
     st = snapshot.report.stats
@@ -353,17 +346,13 @@ def _decode(by_kind: dict[str, object]) -> ProfileSnapshot:
     _check_ids(ic["lo"], locations, "location")
 
     prov = by_kind["p"]
-    postmortem = SnapshotPostmortem(
+    postmortem = PostmortemResult(
         columns=InstanceColumns(*cols, stacks=stacks, locations=locations),
         n_raw=prov["n_raw"],
-        n_runtime=prov["n_runtime"],
+        unknown=[(_string(strings, r, "provenance"), ix) for r, ix in prov["u"]],
+        quarantined=[(_string(strings, r, "provenance"), ix) for r, ix in prov["q"]],
         n_recovered=prov["n_recovered"],
-        unknown_provenance=[
-            (_string(strings, r, "provenance"), ix) for r, ix in prov["u"]
-        ],
-        quarantine_provenance=[
-            (_string(strings, r, "provenance"), ix) for r, ix in prov["q"]
-        ],
+        n_runtime=prov["n_runtime"],
     )
 
     sc = by_kind["s"]

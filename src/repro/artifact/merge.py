@@ -14,14 +14,9 @@ instances) without re-running anything.
 from __future__ import annotations
 
 from ..blame.aggregate import merge_reports
+from ..blame.postmortem import InstanceColumns, PostmortemResult
 from ..errors import ArtifactError
-from .model import (
-    ArtifactMeta,
-    FunctionCatalog,
-    InstanceColumns,
-    ProfileSnapshot,
-    SnapshotPostmortem,
-)
+from .model import ArtifactMeta, ProfileSnapshot
 
 #: Fault-injection counters every injector version reports; they lead
 #: the merged dict in this stable order.  Counters outside this tuple
@@ -100,17 +95,14 @@ def merge_snapshots(
     for s in snapshots[1:]:
         catalog = catalog.union(s.catalog)
 
-    postmortem = SnapshotPostmortem(
-        columns=InstanceColumns.concat([s.postmortem.columns for s in snapshots]),
-        n_raw=sum(s.postmortem.n_raw for s in snapshots),
-        n_runtime=sum(s.postmortem.n_runtime for s in snapshots),
-        n_recovered=sum(s.postmortem.n_recovered for s in snapshots),
-        unknown_provenance=[
-            p for s in snapshots for p in s.postmortem.unknown_provenance
-        ],
-        quarantine_provenance=[
-            p for s in snapshots for p in s.postmortem.quarantine_provenance
-        ],
+    pms = [s.postmortem for s in snapshots]
+    postmortem = PostmortemResult(
+        columns=InstanceColumns.concat([pm.columns for pm in pms]),
+        n_raw=sum(pm.n_raw for pm in pms),
+        unknown=[p for pm in pms for p in pm.unknown],
+        quarantined=[p for pm in pms for p in pm.quarantined],
+        n_recovered=sum(pm.n_recovered for pm in pms),
+        n_runtime=sum(pm.n_runtime for pm in pms),
     )
 
     first = snapshots[0].meta

@@ -13,10 +13,10 @@ to live ones.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..blame.postmortem import FrameTuple, Instance, InstanceColumns
+from .. import tool_version
+from ..blame.postmortem import PostmortemResult
 from ..blame.report import BlameReport
 
 
@@ -82,66 +82,6 @@ class FunctionCatalog:
         )
 
 
-@dataclass
-class SnapshotPostmortem:
-    """Post-mortem outcome as stored in an artifact.
-
-    Mirrors the attributes of
-    :class:`~repro.blame.postmortem.PostmortemResult` that the views
-    read, but carries *counts* for the raw/runtime streams instead of
-    the streams themselves — the artifact persists consolidated
-    instances, not raw samples (those belong to the sample dataset /
-    journal written by ``--save-samples``).
-
-    Live and decoded snapshots hold the same
-    :class:`~repro.blame.postmortem.InstanceColumns`: a live one the
-    consumer's, a decoded one the artifact's instance section.  The
-    views read only :attr:`n_user` and :meth:`path_counts`, and the
-    encoder reads the columns; :attr:`instances` builds the
-    :class:`~repro.blame.postmortem.Instance` list on first access, for
-    the callers that walk instances (tests, diagnostics).
-    """
-
-    columns: InstanceColumns
-    n_raw: int = 0
-    n_runtime: int = 0
-    n_recovered: int = 0
-    #: (reason, sample index) per unattributable sample.
-    unknown_provenance: list[tuple[str, int]] = field(default_factory=list)
-    #: (reason, sample index) per quarantined sample (ingest + postmortem).
-    quarantine_provenance: list[tuple[str, int]] = field(default_factory=list)
-    _built: "list[Instance] | None" = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def instances(self) -> list[Instance]:
-        if self._built is None:
-            self._built = self.columns.build()
-        return self._built
-
-    @property
-    def n_user(self) -> int:
-        return len(self.columns)
-
-    def path_counts(self) -> "Counter[FrameTuple]":
-        return self.columns.path_counts()
-
-    @property
-    def n_unknown(self) -> int:
-        return len(self.unknown_provenance)
-
-    def unknown_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for reason, _ix in self.unknown_provenance:
-            out[reason] = out.get(reason, 0) + 1
-        return out
-
-    def quarantine_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for reason, _ix in self.quarantine_provenance:
-            out[reason] = out.get(reason, 0) + 1
-        return out
-
-
 @dataclass(frozen=True)
 class ArtifactMeta:
     """Run identity and configuration recorded in the artifact header."""
@@ -162,7 +102,10 @@ class ProfileSnapshot:
     meta: ArtifactMeta
     report: BlameReport
     catalog: FunctionCatalog
-    postmortem: SnapshotPostmortem
+    #: The post-mortem outcome, as a live run, the decoder or a merge
+    #: built it.  The artifact persists consolidated instances, not raw
+    #: samples (those belong to the ``--save-samples`` journal).
+    postmortem: PostmortemResult
     #: Injection summary when the run was deliberately degraded
     #: (:meth:`repro.resilience.inject.InjectionStats.as_dict` form).
     fault_stats: dict | None = None
@@ -183,25 +126,6 @@ class ProfileSnapshot:
     def wall_seconds(self) -> float:
         return self.report.stats.wall_seconds
 
-    @property
-    def quarantine_rate(self) -> float:
-        """Same accounting as ``ProfileResult.quarantine_rate``."""
-        total = (
-            self.report.stats.total_raw_samples
-            + self.report.stats.quarantined_samples
-        )
-        return self.report.stats.quarantined_samples / total if total else 0.0
-
-
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # not installed (src checkout on PYTHONPATH)
-        from .. import __version__
-
-        return __version__
 
 
 def canonicalize_timings(snapshot: ProfileSnapshot) -> ProfileSnapshot:
@@ -243,12 +167,7 @@ def snapshot_from_result(
     ``postmortem_seconds`` (in a copied report) so the serialized bytes
     are reproducible across runs; see :func:`canonicalize_timings`.
     """
-    pm = result.postmortem
-    unknown = [(d.reason, d.sample.index) for d in pm.unknown]
-    quarantined = [(d.reason, d.sample.index) for d in pm.quarantined]
     monitor = result.monitor
-    if monitor is not None:
-        quarantined += [(q.reason, q.sample.index) for q in monitor.quarantined]
     if threshold is None and monitor is not None:
         threshold = monitor.pmu.threshold
     if num_threads is None:
@@ -260,7 +179,7 @@ def snapshot_from_result(
         num_threads=num_threads,
         locale_id=result.report.locale_id if locale_id is None else locale_id,
         kind="profile",
-        created_by=f"repro {_tool_version()}",
+        created_by=f"repro {tool_version()}",
     )
     fault_stats = None
     if result.fault_stats is not None:
@@ -276,14 +195,7 @@ def snapshot_from_result(
         meta=meta,
         report=result.report,
         catalog=FunctionCatalog.from_module(result.module),
-        postmortem=SnapshotPostmortem(
-            columns=pm.columns,
-            n_raw=pm.n_raw,
-            n_runtime=pm.n_runtime,
-            n_recovered=pm.n_recovered,
-            unknown_provenance=unknown,
-            quarantine_provenance=quarantined,
-        ),
+        postmortem=result.postmortem,
         fault_stats=fault_stats,
         adaptive=adaptive,
     )

@@ -7,10 +7,11 @@ frames — producing "a complete, clean call path of the application w/o
 libraries for each sample".
 
 Tolerant mode (``tolerant=True``) additionally survives degraded
-telemetry instead of mis-attributing it:
+telemetry instead of mis-attributing it; it is the only place the
+pipeline decides what happens to a damaged sample:
 
-* malformed samples (empty walk, negative leaf iid) are quarantined
-  into a side channel with per-reason counts;
+* malformed samples (a non-idle sample with an empty walk or a negative
+  leaf iid) are quarantined as ``malformed-sample``;
 * incomplete stacks are repaired where possible — a lost spawn tag is
   recovered from other samples of the same outlined function, and a
   truncated walk is extended by longest-suffix match against intact
@@ -20,18 +21,19 @@ telemetry instead of mis-attributing it:
   ``lost-spawn-tag``, ``no-debug-info``) rather than vanishing or
   skewing the attributed rows.
 
-On a clean stream the tolerant pipeline is a zero-cost abstraction: it
-produces bit-identical instances to strict mode.
+Both outcomes are recorded as ``(reason, sample index)`` pairs, the form
+the ``.cbp`` artifact stores.  On a clean stream the tolerant pipeline
+is a zero-cost abstraction: it produces bit-identical instances to
+strict mode.
 
 Processing is **streaming**: :class:`PostmortemConsumer` is a
 single-pass incremental consumer over sample batches — feed it batches
 as the monitor hands them over and call :meth:`~PostmortemConsumer.finish`
 once, so no stage ever needs the whole ``list[RawSample]`` resident.
-The recovery evidence (spawn-tag index, continuation suffixes) is
-accumulated incrementally from intact instances as they are emitted;
-degraded candidates wait in a held-back buffer until ``finish()``.
-:func:`process_samples` is the one-shot wrapper (one batch) and
-behaves exactly as it always has.
+Degraded candidates wait in a held-back buffer until ``finish()``,
+which works out their recovery evidence from the first-pass rows and
+path table, and only when a candidate is held back.
+:func:`process_samples` is the one-shot wrapper (one batch).
 
 Consolidation is done **once per distinct call path**: everything the
 first pass derives from a sample's ``(stack, pre_spawn_stack,
@@ -44,8 +46,9 @@ objects are built only for callers that walk them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -175,17 +178,19 @@ class InstanceColumns:
         ]
 
 
-@dataclass(frozen=True)
-class DegradedSample:
-    """A sample that could not be (fully) consolidated, with provenance."""
+#: ``(reason, sample index)``: why one sample was quarantined or left
+#: unattributable.
+Provenance = tuple[str, int]
 
-    sample: RawSample
-    reason: str
+
+def _by_reason(provenance: list[Provenance]) -> dict[str, int]:
+    return dict(Counter(reason for reason, _ix in provenance))
 
 
 @dataclass(eq=False)
 class PostmortemResult:
-    """Outcome of post-mortem processing.
+    """Outcome of post-mortem processing: of a live run, a decoded
+    artifact, or a merge of snapshots.
 
     The consolidated instances are held as :class:`InstanceColumns`;
     :attr:`instances` builds the :class:`Instance` list on first access,
@@ -195,10 +200,10 @@ class PostmortemResult:
 
     columns: InstanceColumns
     n_raw: int
-    #: Unattributable samples, by provenance (tolerant mode only).
-    unknown: list[DegradedSample] = field(default_factory=list)
+    #: Unattributable samples (tolerant mode only).
+    unknown: list[Provenance] = field(default_factory=list)
     #: Malformed samples rejected before consolidation (tolerant mode).
-    quarantined: list[DegradedSample] = field(default_factory=list)
+    quarantined: list[Provenance] = field(default_factory=list)
     #: Instances whose call path was repaired by suffix-match recovery.
     n_recovered: int = 0
     #: Idle / pure-runtime samples (counted, not kept).
@@ -235,16 +240,10 @@ class PostmortemResult:
         return len(self.unknown)
 
     def unknown_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in self.unknown:
-            out[d.reason] = out.get(d.reason, 0) + 1
-        return out
+        return _by_reason(self.unknown)
 
     def quarantine_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in self.quarantined:
-            out[d.reason] = out.get(d.reason, 0) + 1
-        return out
+        return _by_reason(self.quarantined)
 
 
 def count_paths(
@@ -286,9 +285,6 @@ class _Path(NamedTuple):
     #: Intact paths: the ``glued`` and ``recovered`` column values.
     glued: int = 0
     repaired: int = 0
-    #: Pre-spawn continuation a tagged sample of this intact, glued
-    #: path teaches the spawn-tag index (tolerant mode only).
-    pre: tuple[tuple[str, int], ...] | None = None
     #: Held paths: the trimmed user frames, leaf first.
     frames: tuple[tuple[str, int], ...] = ()
     #: Held paths: the walk had raw-address frames (picks the
@@ -311,8 +307,7 @@ class PostmortemConsumer:
     Memory behaviour:
 
     * intact samples are consolidated and released immediately — only
-      their row of :class:`InstanceColumns` (and the deduplicated
-      recovery evidence derived from the path) survives the batch;
+      their row of :class:`InstanceColumns` survives the batch;
     * degraded samples wait in a held-back candidate buffer until
       :meth:`finish`, so evidence from anywhere in the run can repair
       them, as in the one-shot semantics;
@@ -339,8 +334,8 @@ class PostmortemConsumer:
         #: Trimmed user frames → path id (their row in the tables).
         self._path_ids: dict[FrameTuple, int] = {}
         self._n_runtime = 0
-        self._quarantined: list[DegradedSample] = []
-        self._unknown: list[DegradedSample] = []
+        self._quarantined: list[Provenance] = []
+        self._unknown: list[Provenance] = []
         #: Held-back degraded samples, with their path's outcome.
         self._candidates: list[tuple[RawSample, _Path]] = []
         #: (stack, pre_spawn_stack, spawn_tag is None) → first-pass outcome.
@@ -349,14 +344,12 @@ class PostmortemConsumer:
         self._n_repaired = 0
         self._n_late_recovered = 0
         self._finished = False
-        #: tag → pre-spawn stack, learned from intact samples (recovery).
-        self._tag_index: dict[int, tuple[tuple[str, int], ...]] = {}
-        #: outlined function → distinct pre-spawn continuations.
-        self._pre_index: dict[str, set[tuple[tuple[str, int], ...]]] = {}
-        #: frame → distinct continuations below it (suffix gluing).
-        self._cont_index: dict[
-            tuple[str, int], set[tuple[tuple[str, int], ...]]
-        ] = {}
+        #: Rows and paths when :meth:`finish` starts: the first pass's.
+        self._n_rows = self._n_paths = 0
+        #: Recovery evidence answered so far, by ``(kind, key)``, and
+        #: the glued first-pass rows (see :meth:`_continuation`).
+        self._evidence: dict[tuple, FrameTuple | None] = {}
+        self._glued: tuple[dict[int, int], dict[int, None]] | None = None
 
     # -- streaming interface -------------------------------------------------
 
@@ -373,7 +366,7 @@ class PostmortemConsumer:
 
     @property
     def n_quarantined(self) -> int:
-        """Samples rejected so far (post-mortem quarantine only)."""
+        """Samples quarantined so far."""
         return len(self._quarantined)
 
     def instances_since(self, start: int) -> "list[Instance]":
@@ -390,16 +383,15 @@ class PostmortemConsumer:
         """Consumes one batch of raw samples (collection order).
 
         Per sample: an idle one is counted; a malformed one (tolerant
-        mode; the checks of :meth:`~repro.sampling.monitor.Monitor.
-        validate`) is quarantined; any other looks up its path's
-        first-pass outcome, and an intact path appends one row.
+        mode: not idle, with an empty stack or a negative leaf iid) is
+        quarantined; any other looks up its path's first-pass outcome,
+        and an intact path appends one row.
         """
         if self._finished:
             raise RuntimeError("PostmortemConsumer.feed() after finish()")
         self._n_raw += len(batch)
         tolerant = self.tolerant
         paths = self._paths
-        tag_index = self._tag_index
         cols = self._columns
         add_index = cols.index.append
         add_thread = cols.thread_id.append
@@ -414,16 +406,14 @@ class PostmortemConsumer:
                 n_runtime += 1
                 continue
             if tolerant and (not stack or leaf_iid < 0):
-                self._quarantined.append(DegradedSample(s, REASON_MALFORMED))
+                self._quarantined.append((REASON_MALFORMED, index))
                 continue
             key = (stack, pre, tag is None)
             path = paths.get(key)
             if path is None:
                 path = paths[key] = self._first_sight(s)
-            outcome, pid, glued, repaired, learn, _, _ = path
+            outcome, pid, glued, repaired, _, _ = path
             if outcome is _INTACT:
-                if learn is not None:
-                    tag_index.setdefault(tag, learn)
                 if repaired:
                     self._n_repaired += 1
                 add_index(index)
@@ -443,11 +433,15 @@ class PostmortemConsumer:
         if self._finished:
             raise RuntimeError("PostmortemConsumer.finish() called twice")
         self._finished = True
+        cols = self._columns
+        # Evidence comes from the first-pass rows and paths only: a row
+        # that recovery appends never feeds it.
+        self._n_rows, self._n_paths = len(cols), len(cols.stacks)
         for s, path in self._candidates:
             self._n_late_recovered += self._resolve_candidate(s, path)
         self._candidates = []
         return PostmortemResult(
-            columns=self._columns,
+            columns=cols,
             n_raw=self._n_raw,
             unknown=self._unknown,
             quarantined=self._quarantined,
@@ -469,12 +463,7 @@ class PostmortemConsumer:
         return pid
 
     def _first_sight(self, s: RawSample) -> _Path:
-        """Consolidates the call path of ``s``, seen for the first time.
-
-        An intact path feeds the recovery evidence here, once: the
-        indexes are sets, so later samples of the path would add
-        nothing.
-        """
+        """Consolidates the call path of ``s``, seen for the first time."""
         frames = list(s.stack)
         glued = False
         if (
@@ -511,25 +500,11 @@ class PostmortemConsumer:
 
         if self.tolerant and not _is_complete(self.module, user_frames):
             return _Path(_HELD, frames=user_frames, had_stripped=had_stripped)
-
-        pre = None
-        if self.tolerant and glued:
-            # Learn tag → pre-spawn only from *intact* paths (repaired
-            # names, complete root), so a truncated or stripped
-            # pre-spawn can never poison tag recovery.
-            pre = (
-                tuple(frames[len(s.stack):])
-                if repaired
-                else tuple(s.pre_spawn_stack)
-            )
-        if self.tolerant:
-            self._index_evidence(user_frames, glued)
         return _Path(
             _INTACT,
             self._path_id(user_frames),
             glued=1 if glued else 0,
             repaired=1 if repaired else 0,
-            pre=pre,
         )
 
     def _locations(
@@ -539,37 +514,18 @@ class PostmortemConsumer:
             (r.filename, r.line) for r in self._resolver.resolve_stack(frames)
         )
 
-    def _index_evidence(
-        self, frames: tuple[tuple[str, int], ...], glued: bool
-    ) -> None:
-        # Recovery evidence comes from first-pass instances only:
-        # instances emitted *by* recovery never feed back into the
-        # indexes (matching the historical snapshot-then-recover order,
-        # which kept recovered paths from influencing later candidates).
-        if glued:
-            # The post-spawn part of a glued path ends at its outlined
-            # frame; everything below is the pre-spawn continuation.
-            for k, (func, _iid) in enumerate(frames):
-                f = self.module.get_function(func)
-                if f is not None and f.outlined_from is not None:
-                    self._pre_index.setdefault(func, set()).add(frames[k + 1:])
-                    break
-        for k in range(len(frames) - 1):
-            self._cont_index.setdefault(frames[k], set()).add(frames[k + 1:])
-
     # -- recovery (second pass over held-back candidates) --------------------
 
     def _resolve_candidate(self, s: RawSample, path: _Path) -> int:
-        """Repairs one degraded stack from the accumulated evidence.
+        """Repairs one degraded stack from the first-pass evidence.
 
-        Two indexes built from intact first-pass instances answer:
-
-        * outlined-function → distinct pre-spawn stacks (for spawn-tag
-          loss: if every intact sample of outlined body F glued to one
-          pre-spawn stack, a tagless F sample glues to it too);
-        * deepest-remaining-frame → distinct continuations (for
-          truncated walks: the longest suffix below the matching frame
-          of an intact path, adopted only when unambiguous).
+        A candidate rooted at an outlined function glues to the
+        pre-spawn continuation of the first glued row with its spawn
+        tag, or else to the one continuation every glued path through
+        that function shares (spawn-tag loss).  Any other candidate
+        adopts the one continuation intact paths have below its deepest
+        frame (a truncated walk).  An ambiguous continuation is never
+        adopted.
 
         Returns 1 when the candidate was recovered, 0 when it landed in
         the ``<unknown>`` bucket.
@@ -577,33 +533,25 @@ class PostmortemConsumer:
         user_frames = path.frames
         if not user_frames:
             # Nothing resolvable at all — stripped debug info.
-            self._unknown.append(DegradedSample(s, REASON_NO_DEBUG))
+            self._unknown.append((REASON_NO_DEBUG, s.index))
             return 0
-        root_func, _root_iid = user_frames[-1]
+        root_func = user_frames[-1][0]
         rootf = self.module.get_function(root_func)
-        is_outlined_root = rootf is not None and rootf.outlined_from is not None
-
-        continuation: tuple[tuple[str, int], ...] | None = None
-        if is_outlined_root:
+        continuation = None
+        if rootf is not None and rootf.outlined_from is not None:
             reason = REASON_LOST_TAG
             if s.spawn_tag is not None:
                 # Tag survived but the pre-spawn stack was lost: glue
                 # via another sample that recorded the same tag intact.
-                continuation = self._tag_index.get(s.spawn_tag)
+                continuation = self._continuation("tag", s.spawn_tag)
             if continuation is None:
-                options = self._pre_index.get(root_func, set())
-                if len(options) == 1:
-                    continuation = next(iter(options))
+                continuation = self._continuation("outlined", root_func)
         else:
             reason = REASON_NO_DEBUG if path.had_stripped else REASON_TRUNCATED
-            options = self._cont_index.get(user_frames[-1], set())
-            if len(options) == 1:
-                continuation = next(iter(options))
+            continuation = self._continuation("frame", user_frames[-1])
 
         if continuation is not None:
-            frames = user_frames + tuple(
-                f for f in continuation if _is_user_frame(self.module, f[0])
-            )
+            frames = user_frames + continuation
             if _is_complete(self.module, frames):
                 cols = self._columns
                 cols.index.append(s.index)
@@ -613,8 +561,87 @@ class PostmortemConsumer:
                 cols.spawn_tag.append(s.spawn_tag)
                 cols.recovered.append(1)
                 return 1
-        self._unknown.append(DegradedSample(s, reason))
+        self._unknown.append((reason, s.index))
         return 0
+
+    def _continuation(self, kind: str, key) -> FrameTuple | None:
+        """The continuation the first-pass evidence offers for ``key``,
+        worked out on first demand and memoized:
+
+        * ``"tag"``: the frames after the first outlined frame of the
+          first glued row with spawn tag ``key``;
+        * ``"outlined"``: the one continuation after the first outlined
+          frame of the glued paths whose first outlined frame is
+          function ``key``;
+        * ``"frame"``: the one ``frames[k + 1:]`` of the paths with
+          frame ``key`` at some ``k`` other than their last.
+        """
+        memo = self._evidence
+        if (kind, key) not in memo:
+            stacks = self._columns.stacks
+            if kind == "tag":
+                pid = self._glued_rows()[0].get(key)
+                options = [] if pid is None else [self._after_outlined(stacks[pid])[1]]
+            elif kind == "outlined":
+                after = (self._after_outlined(stacks[pid]) for pid in self._glued_rows()[1])
+                options = (cont for func, cont in after if func == key)
+            else:
+                options = (
+                    frames[k + 1:]
+                    for frames in islice(stacks, self._n_paths)
+                    for k in _positions(frames, key)
+                )
+            memo[kind, key] = _only(options)
+        return memo[kind, key]
+
+    def _glued_rows(self) -> tuple[dict[int, int], dict[int, None]]:
+        """Over the first-pass rows: each spawn tag's first glued row's
+        path id, and the ids of the glued paths (first seen first);
+        built on first demand."""
+        if self._glued is None:
+            cols = self._columns
+            first_by_tag: dict[int, int] = {}
+            glued_paths: dict[int, None] = {}
+            rows = zip(cols.spawn_tag, cols.glued, cols.stack_id)
+            for tag, glued, pid in islice(rows, self._n_rows):
+                if glued:
+                    first_by_tag.setdefault(tag, pid)
+                    glued_paths[pid] = None
+            self._glued = first_by_tag, glued_paths
+        return self._glued
+
+    def _after_outlined(self, frames: FrameTuple) -> tuple[str | None, FrameTuple | None]:
+        """The function of the first outlined frame in ``frames`` and
+        the frames after it (``(None, None)`` when none is outlined)."""
+        for k, (func, _iid) in enumerate(frames):
+            f = self.module.get_function(func)
+            if f is not None and f.outlined_from is not None:
+                return func, frames[k + 1:]
+        return None, None
+
+
+def _positions(frames: FrameTuple, frame: tuple[str, int]) -> Iterator[int]:
+    """Each ``k`` below ``len(frames) - 1`` where ``frames[k] == frame``."""
+    k, last = -1, len(frames) - 1
+    while True:
+        try:
+            k = frames.index(frame, k + 1, last)
+        except ValueError:
+            return
+        yield k
+
+
+def _only(options: Iterable[FrameTuple | None]) -> FrameTuple | None:
+    """The one distinct option; None when there is none, or at the
+    second distinct one (an ambiguous continuation is never adopted, so
+    a recursion never builds more than two of its suffixes)."""
+    found = None
+    for option in options:
+        if found is None:
+            found = option
+        elif option != found:
+            return None
+    return found
 
 
 def process_samples(

@@ -72,6 +72,14 @@ class RunStats:
     quarantined_samples: int = 0
     recovered_samples: int = 0
 
+    @property
+    def quarantine_rate(self) -> float:
+        """``quarantined_samples / (total_raw_samples +
+        quarantined_samples)``: the rate ``--fail-on-quarantine-rate``
+        gates and the stability sweep reports."""
+        total = self.total_raw_samples + self.quarantined_samples
+        return self.quarantined_samples / total if total else 0.0
+
 
 #: Display name/context of the unattributable-cycles bucket.
 UNKNOWN_BUCKET = "<unknown>"

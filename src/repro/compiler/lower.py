@@ -466,8 +466,9 @@ class FunctionLowerer:
         self.is_module_init = is_module_init
         self.loop_stack: list[_LoopTargets] = []
         #: Active inline-iterator expansions: (consumer For stmt,
-        #: index storage, yield type, exit block). Stack because a
-        #: consumer body may itself loop over another iterator.
+        #: index storage, yield type, exit block, index, the loop's
+        #: scope depth). Stack because a consumer body may itself loop
+        #: over another iterator.
         self._yield_stack: list[tuple] = []
         #: Iterator names currently being expanded (recursion guard).
         self._iter_expansion: list[str] = []
@@ -1221,6 +1222,7 @@ class FunctionLowerer:
         loc = stmt.loc
         yield_ty = self.L.resolve_type(decl.return_type, self)  # type: ignore[arg-type]
 
+        depth = len(self._frames)
         self._push_scope()
         # Bind formals to actuals (ref formals get the actual's address;
         # value formals get a home slot, like a call's prologue).
@@ -1243,7 +1245,7 @@ class FunctionLowerer:
         idx_addr = self.builder.alloca(loc, yield_ty, index.name)
         exit_block = self.builder.new_block("iterx.end")
 
-        self._yield_stack.append((stmt, idx_addr, yield_ty, exit_block, index))
+        self._yield_stack.append((stmt, idx_addr, yield_ty, exit_block, index, depth))
         self._iter_expansion.append(call.callee)
         try:
             for s in decl.body.stmts:
@@ -1259,12 +1261,19 @@ class FunctionLowerer:
     def _lower_yield(self, stmt: A.Yield) -> None:
         if not self._yield_stack:
             raise TypeError_("yield outside of an iterator", stmt.loc)
-        consumer, idx_addr, yield_ty, exit_block, index = self._yield_stack[-1]
+        consumer, idx_addr, yield_ty, exit_block, index, depth = self._yield_stack[-1]
         value, vty = self.lower_expr(stmt.value)
         value = self.coerce(stmt.loc, value, vty, yield_ty)
         self.builder.store(stmt.loc, value, idx_addr)
 
         after = self.builder.new_block("yield.after")
+        # The consumer body sees the loop's names, not the iterator's:
+        # on copies, close the scopes the expansion opened above the
+        # loop's depth.
+        saved_visible, saved_frames = self._visible, self._frames
+        self._visible, self._frames = dict(saved_visible), list(saved_frames)
+        while len(self._frames) > depth:
+            self._pop_scope()
         self._push_scope()
         sym = Symbol(index.name, yield_ty, "index", index.loc)
         sym.storage = idx_addr
@@ -1288,6 +1297,7 @@ class FunctionLowerer:
             self._iter_expansion = saved_expansion
         self.loop_stack.pop()
         self._pop_scope()
+        self._visible, self._frames = saved_visible, saved_frames
         if not self.builder.terminated:
             self.builder.br(stmt.loc, after)
         self.builder.set_block(after)

@@ -156,8 +156,10 @@ def aggregate_stage(
 ) -> BlameReport:
     """Step 4a — assemble the presentation-ready report.
 
-    ``monitor_quarantine`` carries ingest-time rejections (reason →
-    count); post-mortem quarantine comes from ``pm`` itself.
+    Quarantine comes from ``pm``, the one quarantine.  Counts passed as
+    ``monitor_quarantine`` (reason → count) are added to it; the
+    monitor's :meth:`~repro.sampling.monitor.Monitor.quarantine_by_reason`
+    is always empty, so passing it changes nothing.
     """
     monitor_quarantine = monitor_quarantine or {}
     n_monitor_quarantined = sum(monitor_quarantine.values())

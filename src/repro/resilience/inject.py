@@ -1,15 +1,14 @@
-"""Deterministic fault injection over sample streams and monitors.
+"""Deterministic fault injection over sample streams.
 
 The injector sits between step 2 (execution/monitoring) and step 3
-(post-mortem): it takes the monitor's raw sample stream and emits a
-degraded copy according to a :class:`~repro.resilience.faults.FaultPlan`.
-Injection is pure — the original stream is never mutated — and fully
-deterministic: decisions derive from the plan's seed and each sample's
-position, so the same (plan, stream) pair always degrades identically.
-
-It can also wrap a live :class:`~repro.sampling.monitor.Monitor` so
-faults land at ingest time (exercising the monitor's own quarantine
-path) rather than post hoc.
+(post-mortem): :meth:`FaultInjector.degrader` takes the monitor's raw
+sample batches and emits degraded copies according to a
+:class:`~repro.resilience.faults.FaultPlan`.  It is the one place faults
+enter a run, and post-mortem is the one place that quarantines or
+recovers what they damage.  Injection is pure — the original stream is
+never mutated — and fully deterministic: decisions derive from the
+plan's seed and each sample's position, so the same (plan, stream) pair
+always degrades identically.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..sampling.monitor import Monitor
 from ..sampling.records import RawSample
 from .faults import FaultPlan
 
@@ -123,10 +121,6 @@ class FaultInjector:
             return out
 
         return degrade
-
-    def wrap_monitor(self, monitor: Monitor) -> "FaultyMonitor":
-        """Returns a monitor applying this injector's faults at ingest."""
-        return FaultyMonitor(self, monitor)
 
     # -- per-sample ---------------------------------------------------------
 
@@ -238,21 +232,3 @@ class FaultInjector:
             else:
                 out.append((func, iid))
         return tuple(out), touched
-
-
-class FaultyMonitor(Monitor):
-    """A monitor that degrades each sample at ingest time.
-
-    Dropped samples simply never land; corrupt ones hit the monitor's
-    own quarantine — the same validation path a lossy real collector
-    would exercise.
-    """
-
-    def __init__(self, injector: FaultInjector, base: Monitor) -> None:
-        super().__init__(pmu=base.pmu, charge_overhead=base.charge_overhead)
-        self.injector = injector
-        self._rng = random.Random(f"{injector.plan.seed}:stream")
-        self._degrade = self._degrade_one
-
-    def _degrade_one(self, sample: RawSample) -> RawSample | None:
-        return self.injector._degrade_one(sample, self._rng)

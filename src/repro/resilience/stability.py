@@ -104,7 +104,6 @@ def compare_reports(
     """Scores one degraded run against its clean twin."""
     stats = degraded.stats
     denom = stats.user_samples + stats.unknown_samples
-    q_denom = stats.total_raw_samples + stats.quarantined_samples
     return StabilityPoint(
         fault=fault,
         rate=rate,
@@ -112,6 +111,6 @@ def compare_reports(
         top5_overlap=top_n_overlap(clean, degraded, n),
         kendall_tau=kendall_tau(clean, degraded),
         unknown_rate=stats.unknown_samples / denom if denom else 0.0,
-        quarantine_rate=stats.quarantined_samples / q_denom if q_denom else 0.0,
+        quarantine_rate=stats.quarantine_rate,
         recovered=stats.recovered_samples,
     )

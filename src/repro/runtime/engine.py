@@ -67,7 +67,7 @@ from functools import partial
 from ..chapel.types import IntType, RealType
 from ..ir import instructions as I
 from .builtins import ProgramHalt
-from .interpreter import ExecutionError, IterState, _binop_scalar, _tuple_binop
+from .interpreter import QUANTUM, ExecutionError, IterState, _binop_scalar, _tuple_binop
 from .values import (
     _VALUE_AGGREGATES,
     ArrayValue,
@@ -162,7 +162,7 @@ class FastEngine:
         has_skid = interp.skid > 0
         overflow = interp._pmu_overflow
         deliver = interp._deliver_skidded
-        budget = interp.quantum
+        budget = QUANTUM
         executed = 0
         try:
             task = thread.task

@@ -45,6 +45,11 @@ from .values import (
 )
 
 
+#: Instructions a thread runs before the scheduler picks again (both
+#: engines' quantum loops).
+QUANTUM = 64
+
+
 class ExecutionError(RuntimeError_):
     """A runtime error annotated with source location and call stack."""
 
@@ -160,8 +165,6 @@ class Interpreter:
         cost_model: CostModel | None = None,
         monitor: object | None = None,
         sample_threshold: float | None = None,
-        quantum: int = 64,
-        max_instructions: int | None = None,
         skid: int = 0,
         skid_compensation: bool = False,
         engine: str = "fast",
@@ -172,8 +175,6 @@ class Interpreter:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.monitor = monitor
         self.sample_threshold = sample_threshold
-        self.quantum = quantum
-        self.max_instructions = max_instructions
         #: PMU skid: the sampled IP lands `skid` instructions after the
         #: overflow point (real PMUs overshoot; the paper defers "skid
         #: compensation" to future work — implemented here as an
@@ -231,14 +232,12 @@ class Interpreter:
         #: Execution engine: "fast" runs straight-line stretches of
         #: register-only steps built once per block (see ``engine.py``);
         #: "generic" is the reference dict-dispatch loop.  Both produce
-        #: bit-identical results (a tested invariant).  The fast engine
-        #: does not support instruction budgets, so ``max_instructions``
-        #: forces the generic loop.
+        #: bit-identical results (a tested invariant).
         if engine not in ("fast", "generic"):
             raise ValueError(f"unknown engine {engine!r}: expected 'fast' or 'generic'")
         self.engine = engine
         self._fast_engine = None
-        if engine == "fast" and max_instructions is None:
+        if engine == "fast":
             from .engine import FastEngine
 
             self._fast_engine = FastEngine(self)
@@ -359,7 +358,7 @@ class Interpreter:
             self._run_quantum_generic(thread)
 
     def _run_quantum_generic(self, thread) -> None:
-        for _ in range(self.quantum):
+        for _ in range(QUANTUM):
             task = thread.task
             if task is None:
                 return
@@ -368,15 +367,6 @@ class Interpreter:
                 return
             instr = frame.block.instructions[frame.index]
             self.instructions_executed += 1
-            if (
-                self.max_instructions is not None
-                and self.instructions_executed > self.max_instructions
-            ):
-                raise self._error(
-                    "instruction budget exceeded",
-                    frame.block.instructions[frame.index],
-                    task,
-                )
             handler = self._dispatch.get(type(instr))
             if handler is None:
                 raise self._error(f"no handler for {instr.opname}", instr, task)
@@ -1013,23 +1003,3 @@ def _needs_none(ty) -> bool:
     from ..chapel.types import ArrayType, DomainType, RangeType
 
     return isinstance(ty, (ArrayType, DomainType, RangeType))
-
-
-def run_module(
-    module: Module,
-    config: dict[str, object] | None = None,
-    num_threads: int = 12,
-    cost_model: CostModel | None = None,
-    monitor: object | None = None,
-    sample_threshold: float | None = None,
-) -> RunResult:
-    """Convenience: execute ``module`` and return the run result."""
-    interp = Interpreter(
-        module,
-        config=config,
-        num_threads=num_threads,
-        cost_model=cost_model,
-        monitor=monitor,
-        sample_threshold=sample_threshold,
-    )
-    return interp.run()

@@ -2,14 +2,13 @@
 
 The paper works on a single locale ("In this work, we focus on the
 single locale", §II.B); multi-locale tracking through GASNet is its
-future work.  We model the same: one :class:`Locale` with a configurable
-task-parallelism width, but keep the type plural-ready so the blame
-aggregation layer (`repro.blame.aggregate`) can merge per-locale results
-the way the paper's step 4 describes.
+future work.  Per-locale profiles are merged by the blame aggregation
+layer (:mod:`repro.blame.aggregate`) the way the paper's step 4
+describes.
 
-For the communication advisor this module additionally provides the
-*simulated block-distribution* ground truth the static locality
-analysis (:mod:`repro.analysis.locality`) is validated against:
+For the communication advisor this module provides the *simulated
+block-distribution* ground truth the static locality analysis
+(:mod:`repro.analysis.locality`) is validated against:
 
 * :func:`block_owner` — the canonical block mapping.  Linear position
   ``pos`` of a ``size``-element space lives on locale
@@ -30,26 +29,8 @@ analysis labels LOCAL must only ever observe ``exec == owner``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .interpreter import Interpreter
 from .values import ArrayValue, DomainChunk
-
-
-@dataclass(frozen=True)
-class Locale:
-    """One compute node."""
-
-    locale_id: int
-    max_task_par: int = 12  # the paper's 12-core SMP Xeon
-
-    @property
-    def name(self) -> str:
-        return f"LOCALE{self.locale_id}"
-
-
-def single_locale(max_task_par: int = 12) -> Locale:
-    return Locale(0, max_task_par)
 
 
 def block_owner(size: int, pos: int, num_locales: int) -> int:

@@ -8,16 +8,16 @@ ms/walk against a 241 ms interval ≈ 0.02 %), looks up the worker task's
 spawn record, whose glued pre-spawn stack every worker sample shares,
 and appends a :class:`RawSample`.
 
-Malformed payloads (an empty walk, a negative instruction id on a
-non-idle sample) are rejected at ingest and quarantined with a reason,
-instead of flowing downstream and surfacing as confusing attribution
-errors far from the cause.  A clean interpreter never produces them;
-fault injection and real lossy collectors do.
+The monitor keeps every sample it is handed: the interpreter gives it a
+non-empty stack and a non-negative leaf for every non-idle sample.
+Malformed samples come from fault injection or from a journal read
+back, and post-mortem (:class:`~repro.blame.postmortem.
+PostmortemConsumer`) quarantines them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pmu import PMUConfig
 from .records import RawSample
@@ -58,14 +58,6 @@ class StopSampling(Exception):
         self.rounds = rounds
 
 
-@dataclass(frozen=True)
-class QuarantinedSample:
-    """A sample rejected at ingest, kept for diagnosis."""
-
-    reason: str  # "empty-stack" | "negative-leaf-iid"
-    sample: RawSample
-
-
 class Monitor:
     """Collects raw samples during a run.
 
@@ -81,8 +73,8 @@ class Monitor:
       :meth:`flush` after the run to deliver the final partial batch.
       Every :class:`~repro.tooling.profiler.Profiler` run uses this.
 
-    ``n_accepted`` counts accepted samples in both modes (retain mode
-    keeps ``n_accepted == len(self.samples)``), and sample indices are
+    ``n_accepted`` counts samples in both modes (retain mode keeps
+    ``n_accepted == len(self.samples)``), and sample indices are
     assigned from it — so the stream a sink sees is record-for-record
     identical to what retain mode would have stored.
     """
@@ -96,27 +88,21 @@ class Monitor:
     ) -> None:
         self.pmu = pmu or PMUConfig()
         self.samples: list[RawSample] = []
-        self.quarantined: list[QuarantinedSample] = []
         self.overhead = OverheadStats()
         self.charge_overhead = charge_overhead
         self.sink = sink
         self.batch_size = batch_size
-        #: Accepted-sample count (== ``len(samples)`` in retain mode).
+        #: Sample count (== ``len(samples)`` in retain mode).
         self.n_accepted = 0
         #: High-water mark of resident (undelivered) samples, sink mode.
         self.peak_resident = 0
         self._batch: list[RawSample] = []
         self._dataset_bytes = 0
-        #: Rewrites each record before validation (None: keep it as
-        #: built); a rewrite to None drops the sample.  Fault injection
-        #: (:class:`~repro.resilience.inject.FaultyMonitor`) sets it.
-        self._degrade = None
 
     def take_sample(self, thread, task, stack, leaf_iid: int) -> None:
         """Called by the interpreter on PMU overflow, once per sample:
         builds the record positionally (an idle sample, ``task`` None,
-        skips the spawn lookups), validates it as :meth:`validate` does
-        and stores it."""
+        skips the spawn lookups) and stores it."""
         if task is None:
             sample = _new_record(
                 RawSample,
@@ -134,24 +120,15 @@ class Monitor:
                 (self.n_accepted, thread.thread_id, task.task_id, tuple(stack), leaf_iid,
                  tag, pre, False),
             )
-        if self._degrade is not None:
-            sample = self._degrade(sample)
-        if sample is None:
-            pass  # dropped on the way in: never lands
-        elif not sample.is_idle and (not sample.stack or sample.leaf_iid < 0):
-            self.quarantined.append(QuarantinedSample(self.validate(sample), sample))
+        self.n_accepted += 1
+        self._dataset_bytes += 8 + 8 * len(sample.stack)
+        if self.sink is None:
+            self.samples.append(sample)
         else:
-            self.n_accepted += 1
-            self._dataset_bytes += 8 + 8 * len(sample.stack)
-            if self.sink is None:
-                self.samples.append(sample)
-            else:
-                batch = self._batch
-                batch.append(sample)
-                if len(batch) >= self.batch_size:
-                    self.flush()
-        # The walk happened regardless of whether the record survived
-        # validation, so its cost is charged either way.
+            batch = self._batch
+            batch.append(sample)
+            if len(batch) >= self.batch_size:
+                self.flush()
         overhead = self.overhead
         overhead.n_samples += 1
         if self.charge_overhead:
@@ -168,21 +145,6 @@ class Monitor:
                 self.peak_resident = len(batch)
             self.sink(batch)
 
-    @staticmethod
-    def validate(sample: RawSample) -> str | None:
-        """Returns a rejection reason, or None for a well-formed sample.
-
-        Idle samples are exempt: their synthetic ``__sched_yield`` frame
-        legitimately carries iid -1.
-        """
-        if sample.is_idle:
-            return None
-        if not sample.stack:
-            return "empty-stack"
-        if sample.leaf_iid < 0:
-            return "negative-leaf-iid"
-        return None
-
     @property
     def n_samples(self) -> int:
         return self.n_accepted
@@ -197,15 +159,11 @@ class Monitor:
         quoted: dict[str, str] = {}
         return "".join(sample_line(s, quoted) + "\n" for s in self.samples).encode()
 
-    @property
-    def n_quarantined(self) -> int:
-        return len(self.quarantined)
-
     def quarantine_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for q in self.quarantined:
-            out[q.reason] = out.get(q.reason, 0) + 1
-        return out
+        """Always empty: the monitor keeps every sample, and post-mortem
+        is the one quarantine (``PostmortemResult.quarantine_by_reason``).
+        Kept for callers that pass it to ``aggregate_stage``."""
+        return {}
 
     def user_samples(self) -> list[RawSample]:
         """Samples that landed in program (non-idle) code."""

@@ -57,6 +57,7 @@ import argparse
 import os
 import sys
 
+from .. import tool_version
 from ..errors import ArtifactError
 
 #: Subcommands `main` dispatches on.
@@ -81,17 +82,6 @@ commands:
 
 (legacy form: `repro-profile SOURCE [options]` == `profile SOURCE ...`)
 """
-
-
-def tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # not installed (src checkout on PYTHONPATH)
-        from .. import __version__
-
-        return __version__
 
 
 def _parse_config(pairs: list[str]) -> dict[str, object]:
@@ -610,7 +600,7 @@ def _quarantine_gate(result, limit: float | None) -> int:
     """Exit 3 when the quarantine rate exceeds the CI gate."""
     if limit is None:
         return 0
-    rate = result.quarantine_rate
+    rate = result.report.stats.quarantine_rate
     if rate > limit:
         print(
             f"quarantine rate {rate:.3f} exceeds --fail-on-quarantine-rate "

@@ -73,15 +73,6 @@ class ProfileResult:
     def wall_seconds(self) -> float:
         return self.run_result.wall_seconds
 
-    @property
-    def quarantine_rate(self) -> float:
-        """Rejected samples as a fraction of everything the monitor saw."""
-        total = (
-            self.report.stats.total_raw_samples
-            + self.report.stats.quarantined_samples
-        )
-        return self.report.stats.quarantined_samples / total if total else 0.0
-
 
 class Profiler:
     """Front door to the blame pipeline: one program, one
@@ -203,7 +194,6 @@ class Profiler:
             dataset_bytes=monitor.dataset_size_bytes(),
             stackwalk_cycles=monitor.overhead.stackwalk_cycles_total,
             postmortem_seconds=pm_seconds,
-            monitor_quarantine=monitor.quarantine_by_reason(),
         )
         return ProfileResult(
             module=self.module,

@@ -41,7 +41,7 @@ def worker_failed_snap(locale_id, lost):
     )
     postmortem = dataclasses.replace(
         s.postmortem,
-        unknown_provenance=[("worker-failed", i) for i in range(lost)],
+        unknown=[("worker-failed", i) for i in range(lost)],
     )
     return dataclasses.replace(
         s,

@@ -97,7 +97,7 @@ class TestTolerantRoundTrip:
     def test_quarantine_rate_matches_live(self, benchmark_name, tmp_path):
         result = profile_benchmark(benchmark_name, faults=FAULT_SPEC)
         _, loaded = roundtrip(result, tmp_path)
-        assert loaded.quarantine_rate == result.quarantine_rate
+        assert loaded.report.stats.quarantine_rate == result.report.stats.quarantine_rate
 
 
 class TestGolden:

@@ -65,11 +65,12 @@ FEEDS = {"one-shot": None, "batched": 32}
 
 
 class ForgetfulConsumer(PostmortemConsumer):
-    """Clears the path memo before every sample."""
+    """Feeds one sample at a time, clearing the path memo before each."""
 
-    def _consume(self, s):
-        self._paths.clear()
-        super()._consume(s)
+    def feed(self, batch):
+        for s in batch:
+            self._paths.clear()
+            super().feed([s])
 
 
 @pytest.fixture(scope="module", params=sorted(PROGRAMS))

@@ -1196,6 +1196,7 @@ class FunctionLowerer:
         loc = stmt.loc
         yield_ty = self.L.resolve_type(decl.return_type, self)  # type: ignore[arg-type]
 
+        loop_scope = self.scope
         self._push_scope()
         # Bind formals to actuals (ref formals get the actual's address;
         # value formals get a home slot, like a call's prologue).
@@ -1218,7 +1219,7 @@ class FunctionLowerer:
         idx_addr = self.builder.alloca(loc, yield_ty, index.name)
         exit_block = self.builder.new_block("iterx.end")
 
-        self._yield_stack.append((stmt, idx_addr, yield_ty, exit_block, index))
+        self._yield_stack.append((stmt, idx_addr, yield_ty, exit_block, index, loop_scope))
         self._iter_expansion.append(call.callee)
         try:
             for s in decl.body.stmts:
@@ -1234,13 +1235,15 @@ class FunctionLowerer:
     def _lower_yield(self, stmt: A.Yield) -> None:
         if not self._yield_stack:
             raise TypeError_("yield outside of an iterator", stmt.loc)
-        consumer, idx_addr, yield_ty, exit_block, index = self._yield_stack[-1]
+        consumer, idx_addr, yield_ty, exit_block, index, loop_scope = self._yield_stack[-1]
         value, vty = self.lower_expr(stmt.value)
         value = self.coerce(stmt.loc, value, vty, yield_ty)
         self.builder.store(stmt.loc, value, idx_addr)
 
         after = self.builder.new_block("yield.after")
-        self._push_scope()
+        # The consumer body sees the loop's names, not the iterator's.
+        iterator_scope = self.scope
+        self.scope = loop_scope.child()
         sym = Symbol(index.name, yield_ty, "index", index.loc)
         sym.storage = idx_addr
         self.scope.define(sym)
@@ -1262,7 +1265,7 @@ class FunctionLowerer:
             self._yield_stack = saved_yields
             self._iter_expansion = saved_expansion
         self.loop_stack.pop()
-        self._pop_scope()
+        self.scope = iterator_scope
         if not self.builder.terminated:
             self.builder.br(stmt.loc, after)
         self.builder.set_block(after)

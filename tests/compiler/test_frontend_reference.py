@@ -54,9 +54,10 @@ E2E_INPUTS = os.path.join(HERE, os.pardir, os.pardir, "benchmarks", "e2e", "inpu
 #: Programs on the lowering's scoping and typing decisions: locals that
 #: shadow a global or an outer local in blocks, loops, unrolled ``param``
 #: bodies, iterator consumers and ``select`` arms, with the outer name
-#: used again after; an iterator whose yields sit in scopes that type one consumer
-#: expression differently (an array in one, a tuple in the other); an
-#: iterator formal that the consumer body sees; ``**`` on ``real(32)``,
+#: used again after; an iterator whose yields sit in block scopes with
+#: locals of different types (an array in one, a tuple in the other),
+#: which the consumer body does not see; an iterator formal that hides a
+#: global inside the iterator but not in the consumer body; ``**`` on ``real(32)``,
 #: which promotes to ``real``; and locals, and a misplaced ``config``,
 #: in blocks of the module's own statements.
 SCOPING = [
@@ -80,21 +81,21 @@ proc main() {
     ("iterator-scopes", """
 var A: [0..1] int;
 iter two(): int {
-  { var t = (A, 1); yield 0; }
-  { var t = ((1, 2), 1); yield 1; }
+  { var t = (A, 1); yield t[0][1] + t[1]; }
+  { var t = ((1, 2), 1); yield t[0][1] + t[1]; }
 }
 proc main() {
   var s = 0;
-  for i in two() { s += t[0][1]; }
+  for i in two() { var t = i * 2; s += t; }
   var h: real(32) = 2.0;
   var g = h ** h + h * h;
   writeln(s, g);
 }
 """),
-    ("iterator-formal-seen", """
+    ("iterator-formal-hidden", """
 var x = 1.5;
 iter pairs(x: int): int { yield x; yield x + 1; }
-proc main() { for v in pairs(2) { var y = v * 1.5; x += y; } }
+proc main() { for v in pairs(2) { var y = v * 1.5; x += y; } writeln(x); }
 """),
     ("module-blocks", """
 var total = 0;

@@ -3,7 +3,7 @@ expanded inline — the paper's future-work feature)."""
 
 import pytest
 
-from repro.chapel.errors import TypeError_
+from repro.chapel.errors import NameError_, TypeError_
 from repro.compiler.lower import compile_source
 
 import sys, os
@@ -139,6 +139,26 @@ proc main() {
 }
 """
         assert output_of(src) == ["3.0"]
+
+
+class TestIteratorScopes:
+    """The consumer body sees the loop's names, not the iterator's."""
+
+    def test_iterator_formal_does_not_hide_a_global_from_the_body(self):
+        src = """
+var x = 1.5;
+iter pairs(x: int): int { yield x; yield x + 1; }
+proc main() { for v in pairs(2) { var y = v * 1.5; x += y; } writeln(x); }
+"""
+        assert output_of(src) == ["9.0"]
+
+    def test_iterator_local_is_not_visible_in_the_body(self):
+        src = """iter two(): int { var t = 5; yield t; }
+proc main() { var s = 0; for i in two() { s += t; } writeln(s); }
+"""
+        with pytest.raises(NameError_, match="undefined identifier 't'") as info:
+            compile_source(src)
+        assert (info.value.loc.line, info.value.loc.column) == (2, 48)
 
 
 class TestIteratorBlame:

@@ -55,7 +55,7 @@ class TestGracefulDegradation:
         report = legacy.report
         assert report.unknown_by_reason == {"worker-failed": LOST}
         assert report.stats.unknown_samples == LOST
-        provenance = legacy.postmortem.unknown_provenance
+        provenance = legacy.postmortem.unknown
         assert len(provenance) == LOST
         assert {reason for reason, _ in provenance} == {"worker-failed"}
 

@@ -13,6 +13,8 @@ import sys
 from repro.blame.postmortem import (
     REASON_LOST_TAG,
     REASON_TRUNCATED,
+    PostmortemConsumer,
+    _only,
     process_samples,
 )
 from repro.sampling.records import RawSample
@@ -67,7 +69,7 @@ class TestMissingSpawnRecord:
         degraded = victim._replace(spawn_tag=None, pre_spawn_stack=None)
         pm = process_samples(module, [degraded], options=options, tolerant=True)
         assert pm.n_user == 0
-        assert [d.reason for d in pm.unknown] == [REASON_LOST_TAG]
+        assert [reason for reason, _ in pm.unknown] == [REASON_LOST_TAG]
 
     def test_ambiguous_pre_spawn_is_not_guessed(self):
         # The same outlined body glued from TWO distinct pre-spawn
@@ -83,7 +85,7 @@ class TestMissingSpawnRecord:
         pm = process_samples(
             module, [a, forged, degraded], options=options, tolerant=True
         )
-        assert [d.reason for d in pm.unknown] == [REASON_LOST_TAG]
+        assert [reason for reason, _ in pm.unknown] == [REASON_LOST_TAG]
         assert all(not i.was_recovered for i in pm.instances)
 
 
@@ -123,7 +125,23 @@ class TestTruncatedContinuations:
         pm = process_samples(
             module, [victim, alt, degraded], options=options, tolerant=True
         )
-        assert REASON_TRUNCATED in [d.reason for d in pm.unknown]
+        assert REASON_TRUNCATED in [reason for reason, _ in pm.unknown]
+
+    def test_recovered_path_is_no_evidence(self):
+        # The first cut walk glues below its deepest frame; the second's
+        # deepest frame occurs only in that recovered path, and evidence
+        # comes from the intact paths of the first pass alone.
+        module, options, _ = _run()
+
+        def sample(index, *stack):
+            return RawSample(index, 0, 0, stack, stack[0][1], None, None)
+
+        intact = sample(0, ("kernel", 50), ("main", 5))
+        first = sample(1, ("other", 60), ("kernel", 50))
+        second = sample(2, ("kernel", 70), ("other", 60))
+        pm = process_samples(module, [intact, first, second], options=options, tolerant=True)
+        assert pm.n_recovered == 1
+        assert pm.unknown == [(REASON_TRUNCATED, 2)]
 
 
 class TestIdleAndDuplicateTags:
@@ -167,3 +185,30 @@ class TestIdleAndDuplicateTags:
                 list(degraded.stack) + list(a2.pre_spawn_stack)
             )
         assert runs[0].instances == runs[1].instances
+
+
+class TestLazyEvidence:
+    def test_clean_stream_builds_no_evidence(self):
+        # Recovery evidence is worked out in finish() only for a held
+        # candidate: a clean tolerant run builds none of it.
+        module, options, busy = _run()
+        consumer = PostmortemConsumer(module, options=options, tolerant=True)
+        consumer.feed(busy)
+        pm = consumer.finish()
+        assert pm.n_user == len(busy) and not pm.unknown
+        assert consumer._evidence == {} and consumer._glued is None
+
+    def test_scan_stops_at_the_second_distinct_continuation(self):
+        # An ambiguous continuation is refused, so nothing after the
+        # second distinct option is built.
+        seen = []
+
+        def options():
+            for option in [(("a", 1),), (("a", 1),), (("b", 2),), (("c", 3),)]:
+                seen.append(option)
+                yield option
+
+        assert _only(options()) is None
+        assert seen == [(("a", 1),), (("a", 1),), (("b", 2),)]
+        assert _only(iter([(("a", 1),), (("a", 1),)])) == (("a", 1),)
+        assert _only(iter([])) is None

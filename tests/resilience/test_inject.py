@@ -8,8 +8,6 @@ from repro.resilience.inject import (
     FaultInjector,
     is_stripped_frame,
 )
-from repro.sampling.monitor import Monitor
-from repro.sampling.pmu import PMUConfig
 from repro.sampling.records import RawSample
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
@@ -163,29 +161,7 @@ class TestStrip:
         assert inj.degrade_samples(samples) == samples
 
 
-class TestFaultyMonitor:
-    def test_ingest_time_faults_hit_quarantine(self):
-        module = compile_src(PAR)
-        inj = FaultInjector(FaultPlan(seed=4, corrupt_rate=1.0), module=module)
-        monitor = inj.wrap_monitor(Monitor(PMUConfig(threshold=211)))
-
-        class _T:
-            thread_id = 0
-            clock = 0.0
-
-        class _Task:
-            task_id = 1
-            is_main = True
-            spawn = None
-
-        for i in range(40):
-            monitor.take_sample(_T(), _Task(), [("kernel", 5)], 5)
-        # Half the corruptions produce a negative leaf iid → rejected at
-        # ingest; the rest carry a garbage frame address but land.
-        assert monitor.n_quarantined > 0
-        assert monitor.quarantine_by_reason().get("negative-leaf-iid")
-        assert monitor.n_samples + monitor.n_quarantined == 40
-
+class TestProfiler:
     def test_profiler_end_to_end_with_faults(self):
         res = profile_src(PAR, threshold=211)
         clean_total = res.report.stats.total_raw_samples

@@ -134,3 +134,17 @@ class TestDisjointSets:
             stats=RunStats(total_raw_samples=10, user_samples=10),
         )
         assert top_n_overlap(a, b) == 0.0
+
+
+class TestQuarantineRate:
+    def test_sweep_point_reads_the_run_stats_rate(self):
+        # The sweep and `--fail-on-quarantine-rate` share one formula:
+        # RunStats.quarantine_rate.
+        clean = _report([("a", 10)])
+        degraded = _report([("a", 10)])
+        degraded.stats.quarantined_samples = 3
+        point = compare_reports("corrupt", 0.1, clean, degraded)
+        assert point.quarantine_rate == degraded.stats.quarantine_rate > 0.0
+
+    def test_no_samples_is_zero(self):
+        assert RunStats().quarantine_rate == 0.0

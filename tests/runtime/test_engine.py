@@ -175,18 +175,18 @@ proc main() {
 
 
 class TestEngineSelection:
-    def test_max_instructions_uses_generic_loop(self):
-        # The budget check lives in the generic loop; the fast engine
-        # must stand aside when a budget is set.
-        module = compile_source("proc main() { writeln(1); }", "tiny.chpl")
-        interp = Interpreter(module, num_threads=1, max_instructions=10_000)
-        assert interp._fast_engine is None
-        assert interp.run().output == ["1"]
-
     def test_fast_is_default(self):
         module = compile_source("proc main() { writeln(1); }", "tiny2.chpl")
         interp = Interpreter(module, num_threads=1)
         assert interp._fast_engine is not None
+        assert interp.run().output == ["1"]
+
+    def test_generic_engine_chosen_by_name_alone(self):
+        # `engine=` alone picks the loop: "generic" never builds the
+        # fast engine and runs the reference dispatch loop.
+        module = compile_source("proc main() { writeln(1); }", "tiny4.chpl")
+        interp = Interpreter(module, num_threads=1, engine="generic")
+        assert interp._fast_engine is None
         assert interp.run().output == ["1"]
 
     @pytest.mark.parametrize("name", ["Fast", "fast ", "closure", ""])

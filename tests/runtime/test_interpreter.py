@@ -377,12 +377,6 @@ proc main() {
 """
         assert output_of(src) == ["monotone"]
 
-    def test_max_instructions_budget(self):
-        m = compile_source("proc main() { while true { } }")
-        interp = Interpreter(m, num_threads=1, max_instructions=10_000)
-        with pytest.raises(ExecutionError, match="budget"):
-            interp.run()
-
 
 class TestBuiltins:
     def test_math(self):

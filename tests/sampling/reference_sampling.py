@@ -7,9 +7,12 @@ product name would clash, and re-wired to the reference records):
 * :class:`RefRawSample` and :class:`RefInstance` — the frozen records;
 * :func:`ref_stack_walk` — ``Task.stack_walk``, walking the frames;
 * :class:`RefMonitor` — ``Monitor.take_sample`` / ``_ingest`` /
-  ``validate``, one frozen record per sample;
+  ``validate``, one frozen record per sample, with the ingest quarantine
+  (:class:`QuarantinedSample`) the product monitor no longer has;
 * :class:`RefPostmortemConsumer` — the consumer that builds one
-  :class:`RefInstance` per user sample;
+  :class:`RefInstance` per user sample and keeps its recovery indexes
+  eagerly (``_index_evidence`` on every intact path's first sight),
+  where the product works the evidence out in ``finish()``;
 * :func:`ref_attribute` — attribution through ``count_paths`` over the
   instances;
 * :func:`ref_artifact_bytes` — the artifact encoder's loop over instances.
@@ -21,7 +24,11 @@ come from walking frames, never from a frame's calling context.
 the product, and :func:`product_profile` / :func:`compare` give the
 pieces the tests and :func:`e2e_mismatches` (CI ``sampling-identity``)
 compare: sealed streams, sample journals, post-mortem results,
-attribution rows and artifact bytes.
+attribution rows and artifact bytes.  Post-mortem provenance is compared
+as ``(reason, sample index)`` pairs, the form the product keeps; the
+degraded samples behind it come from the one
+:class:`~repro.resilience.inject.FaultInjector` both sides share.
+:func:`e2e_fault_mismatches` runs the comparison on degraded streams.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from heapq import heapify, heapreplace
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
+from repro import tool_version
 from repro.artifact.format import (
     CBP_MAGIC,
     CBP_VERSION,
@@ -45,7 +53,6 @@ from repro.artifact.model import (
     ArtifactMeta,
     FunctionCatalog,
     ProfileSnapshot,
-    _tool_version,
     snapshot_from_result,
 )
 from repro.blame.attribution import (
@@ -78,12 +85,7 @@ from repro.runtime.tasking import (
 from repro.runtime.values import RuntimeError_
 from repro.sampling.adaptive import AdaptiveController
 from repro.sampling.dataset import crc_line, sample_line
-from repro.sampling.monitor import (
-    STACKWALK_CYCLES,
-    Monitor,
-    QuarantinedSample,
-    StopSampling,
-)
+from repro.sampling.monitor import STACKWALK_CYCLES, Monitor, StopSampling
 from repro.sampling.pmu import PMUConfig
 from repro.sampling.stackwalk import StackResolver
 from repro.tooling.profiler import Profiler
@@ -539,8 +541,28 @@ def ref_stack_walk(task) -> list[tuple[str, int]]:
     return out
 
 
+@dataclass(frozen=True)
+class QuarantinedSample:
+    """A sample rejected at ingest, kept for diagnosis."""
+
+    reason: str  # "empty-stack" | "negative-leaf-iid"
+    sample: RefRawSample
+
+
 class RefMonitor(Monitor):
-    """The monitor building one frozen :class:`RefRawSample` per sample."""
+    """The monitor building one frozen :class:`RefRawSample` per sample,
+    validating it at ingest and quarantining a malformed one (which the
+    interpreter never hands over)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.quarantined: list[QuarantinedSample] = []
+
+    def quarantine_by_reason(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for q in self.quarantined:
+            out[q.reason] = out.get(q.reason, 0) + 1
+        return out
 
     def take_sample(self, thread, task, stack, leaf_iid: int) -> None:
         """Called by the interpreter on PMU overflow."""
@@ -1017,7 +1039,7 @@ def reference_profile(module, run: RunConfig) -> Outcome:
             num_threads=run.num_threads,
             locale_id=report.locale_id,
             kind="profile",
-            created_by=f"repro {_tool_version()}",
+            created_by=f"repro {tool_version()}",
         ),
         report=report,
         catalog=FunctionCatalog.from_module(module),
@@ -1072,11 +1094,20 @@ def sealed(stream: list) -> bytes:
     return "".join(sample_line(s, quoted) + "\n" for s in stream).encode()
 
 
+def _provenance(entries: list) -> list[tuple[str, int]]:
+    """``(reason, sample index)`` per entry: the product stores these
+    pairs, the reference the degraded samples themselves."""
+    return [
+        (d.reason, d.sample.index) if isinstance(d, RefDegradedSample) else d
+        for d in entries
+    ]
+
+
 def _postmortem_view(pm) -> dict:
     return {
         "instances": [instance_fields(i) for i in pm.instances],
-        "unknown": [(d.reason, sample_fields(d.sample)) for d in pm.unknown],
-        "quarantined": [(d.reason, sample_fields(d.sample)) for d in pm.quarantined],
+        "unknown": _provenance(pm.unknown),
+        "quarantined": _provenance(pm.quarantined),
         "counts": (pm.n_raw, pm.n_user, pm.n_runtime, pm.n_recovered, pm.n_unknown),
         "path_counts": list(pm.path_counts().items()),
     }
@@ -1093,7 +1124,7 @@ def _rows_view(attribution: AttributionResult) -> tuple:
 def _monitor_view(monitor: Monitor) -> tuple:
     return (
         monitor.n_accepted,
-        [(q.reason, sample_fields(q.sample)) for q in monitor.quarantined],
+        monitor.quarantine_by_reason(),
         monitor.dataset_size_bytes(),
         monitor.overhead.n_samples,
         monitor.overhead.stackwalk_cycles_total,
@@ -1132,34 +1163,77 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 E2E = os.path.join(ROOT, "benchmarks", "e2e")
 
 
-def e2e_mismatches() -> list[str]:
-    """Product ≢ reference on the 13 ``benchmarks/e2e/inputs`` programs,
-    each at its workload's four PMU thresholds (clean runs, default
-    batch size).  Reads the inputs; writes nothing."""
+def _workloads():
+    """``benchmarks/e2e/workloads.py``: inputs, thresholds, threads."""
     import sys
 
-    sys.path.insert(0, E2E)
-    import workloads as wl
+    if E2E not in sys.path:
+        sys.path.insert(0, E2E)
+    import workloads
 
+    return workloads
+
+
+def _e2e_programs():
+    """``(workload, path, module, config)`` of the 13
+    ``benchmarks/e2e/inputs`` programs.  Reads the inputs; writes
+    nothing."""
     from repro.pipeline.stages import compile_stage
     from repro.tooling.cli import _parse_config
 
     programs = [("clomp_dense", "clomp.chpl", {}), ("lulesh_profile", "lulesh.chpl", {})]
+    wl = _workloads()
     sweep = _parse_config(list(wl.SWEEP_CONFIG))
     programs += [
         ("variant_sweep", os.path.join("sweep", stem + ".chpl"), sweep)
         for stem in wl.SWEEP_VARIANTS
     ]
-    out = []
     for workload, rel, config in programs:
         with open(os.path.join(wl.INPUTS, rel)) as f:
             source = f.read()
-        module = compile_stage(source, os.path.basename(rel))
+        yield workload, rel, compile_stage(source, os.path.basename(rel)), config
+
+
+def _checked(label: str, module, run: RunConfig) -> list[str]:
+    bad = mismatches(module, run)
+    print(f"  sampling check {label}: {'MISMATCH ' + ', '.join(bad) if bad else 'ok'}",
+          flush=True)
+    return [f"{label}: {', '.join(bad)}"] if bad else []
+
+
+def e2e_mismatches() -> list[str]:
+    """Product ≢ reference on the 13 ``benchmarks/e2e/inputs`` programs,
+    each at its workload's four PMU thresholds (clean runs, default
+    batch size)."""
+    wl = _workloads()
+    out = []
+    for workload, rel, module, config in _e2e_programs():
         for thr in wl.THRESHOLDS[workload]:
             run = RunConfig(config=config, num_threads=wl.THREADS, threshold=thr)
-            bad = mismatches(module, run)
-            if bad:
-                out.append(f"{rel} at threshold {thr}: {', '.join(bad)}")
-            print(f"  sampling check {rel} threshold {thr}: "
-                  f"{'MISMATCH ' + ', '.join(bad) if bad else 'ok'}", flush=True)
+            out += _checked(f"{rel} at threshold {thr}", module, run)
+    return out
+
+
+#: Each fault class alone, and all five together (``e2e_fault_mismatches``).
+E2E_FAULTS = (
+    "drop=0.1,seed=1",
+    "corrupt=0.1,seed=1",
+    "truncate=0.1:3,seed=1",
+    "tagloss=0.1,seed=1",
+    "strip=0.1,seed=1",
+    "drop=0.1,corrupt=0.1,truncate=0.1:3,tagloss=0.1,strip=0.1,seed=1",
+)
+
+
+def e2e_fault_mismatches() -> list[str]:
+    """Product ≢ reference on degraded streams: the 13
+    ``benchmarks/e2e/inputs`` programs at their workload's first PMU
+    threshold, under each plan of :data:`E2E_FAULTS`."""
+    wl = _workloads()
+    out = []
+    for workload, rel, module, config in _e2e_programs():
+        thr = wl.THRESHOLDS[workload][0]
+        for faults in E2E_FAULTS:
+            run = RunConfig(config=config, num_threads=wl.THREADS, threshold=thr, faults=faults)
+            out += _checked(f"{rel} at threshold {thr} with {faults}", module, run)
     return out

@@ -14,7 +14,8 @@ runs the fast engine and the reference the generic loop, so every
 comparison also checks the engines against each other.
 
 ``reference_sampling.e2e_mismatches()`` runs the same comparison on the
-benchmark inputs (CI ``sampling-identity``).
+benchmark inputs, and ``e2e_fault_mismatches()`` on their degraded
+streams (CI ``sampling-identity``).
 """
 
 from __future__ import annotations
@@ -253,8 +254,8 @@ class TestArtifactEncoding:
                 n_raw=pm.n_raw,
                 n_runtime=pm.n_runtime,
                 n_recovered=pm.n_recovered,
-                unknown_provenance=pm.unknown_provenance,
-                quarantine_provenance=pm.quarantine_provenance,
+                unknown_provenance=pm.unknown,
+                quarantine_provenance=pm.quarantined,
             ),
         )
 

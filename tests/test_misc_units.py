@@ -1,5 +1,5 @@
-"""Small-unit coverage: heap accounting, locales, instruction
-printing, report assembly helpers."""
+"""Small-unit coverage: heap accounting, instruction printing, report
+assembly helpers."""
 
 import os
 import sys
@@ -10,7 +10,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from conftest import compile_src
 
 from repro.chapel.tokens import SourceLocation
-from repro.runtime.locales import Locale, single_locale
 from repro.runtime.memory import BYTES_PER_SLOT, Heap
 
 LOC = SourceLocation("x.chpl", 3, 1)
@@ -45,17 +44,6 @@ class TestHeap:
         big = h.allocate("array", 1000, LOC, "main")  # 8000 B
         larges = h.large_allocations(4096)
         assert [a.heap_id for a in larges] == [big.heap_id]
-
-
-class TestLocales:
-    def test_single_locale(self):
-        loc = single_locale(max_task_par=6)
-        assert loc.locale_id == 0
-        assert loc.max_task_par == 6
-        assert loc.name == "LOCALE0"
-
-    def test_locale_identity(self):
-        assert Locale(2).name == "LOCALE2"
 
 
 class TestInstructionPrinting:

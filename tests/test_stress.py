@@ -76,6 +76,44 @@ proc main() { writeln(depth(N)); }
         # Linear growth is 4x; a context copied at every call is 14x.
         assert peaks[4000] < 6 * peaks[1000], peaks
 
+    @pytest.mark.parametrize("faults", [None, "truncate=0.5:50,seed=3"])
+    def test_deep_recursion_profile_memory_grows_linearly(self, faults):
+        # Post-mortem must not index every suffix of every intact path:
+        # that holds depth**2 / 2 frames per path of a recursion.  Its
+        # recovery evidence is worked out only for the samples held
+        # back, and a recursion is ambiguous below its deepest frame.
+        import tracemalloc
+
+        from repro.blame.postmortem import REASON_TRUNCATED
+        from repro.run_config import RunConfig
+        from repro.tooling.profiler import Profiler
+
+        src = """
+proc depth(n: int): int {
+  if n == 0 then return 0;
+  return depth(n - 1) + 1;
+}
+proc main() { writeln(depth(N)); }
+"""
+        peaks = {}
+        for n in (1000, 4000):
+            module = compile_src(src.replace("N", str(n)))
+            run = RunConfig(num_threads=1, threshold=9973, faults=faults)
+            tracemalloc.start()
+            try:
+                result = Profiler(module, run).profile()
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.run_result.output == [str(n)]
+        assert peaks[4000] < 6 * peaks[1000], peaks
+        pm = result.postmortem
+        if faults is None:
+            assert pm.n_unknown == 0
+        else:
+            assert pm.unknown_by_reason() == {REASON_TRUNCATED: 8}
+            assert pm.n_recovered == 0
+
     def test_wide_record(self):
         fields = "\n".join(f"  var f{k}: real;" for k in range(24))
         src = f"""

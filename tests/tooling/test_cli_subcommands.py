@@ -52,6 +52,15 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert out.startswith("repro ")
 
+    def test_version_matches_artifact_created_by(self, artifact, capsys):
+        # `--version` and an artifact's header name the same version.
+        from repro.artifact.format import read_artifact
+
+        assert cli_main(["--version"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == f"repro {repro.tool_version()}"
+        assert read_artifact(artifact).meta.created_by == out
+
     def test_no_args_prints_usage(self, capsys):
         assert cli_main([]) == 2
         assert "usage:" in capsys.readouterr().err
